@@ -32,7 +32,7 @@ import numpy as np
 from . import diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
 from .closed import angular_momentum_j, constrained_scalar_rhs, foltinek_invariant
 from .frenet import KAPPA_MIN, jet_from_frame
-from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState, vec3
+from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState, require_uniform, vec3
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -46,10 +46,6 @@ TRACE_HEADER = (
 
 class InputError(Exception):
     pass
-
-
-def _fmt(v):
-    return f"{v:.17g}"
 
 
 def load_config(path):
@@ -105,59 +101,50 @@ def _grid(step, length):
     return count
 
 
+def _write_csv(path, header, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 def write_trace(trace, path):
     kappa, _, tau = diagnostics.curvature_arrays(trace)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for i, s in enumerate(trace.samples):
-            row = [s.t, *s.x, *s.xdot, *s.xddot, *s.xdddot, kappa[i], tau[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, TRACE_HEADER, (trace.params(), trace.data, kappa, tau))
 
 
 def read_trace(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != TRACE_HEADER:
+            if fh.readline().strip() != TRACE_HEADER:
                 raise InputError(f"unexpected trace header in {path}")
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
+            rows = [line for line in fh if line.strip()]
+        if not rows:
+            raise InputError(f"empty trace {path}")
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"empty trace {path}")
-    if any(len(r) != 15 for r in rows):
+    if data.shape[1] != 15:
         raise InputError(f"malformed row in {path}")
-    data = np.array(rows)
-    if len(rows) == 1:
-        step = 1.0
-    else:
-        step = data[1, 0] - data[0, 0]
-        if step <= 0.0:
-            raise InputError(f"non-increasing parameter column in {path}")
-    samples = [JetState(r[0], r[1:4], r[4:7], r[7:10], r[10:13]) for r in data]
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"non-finite value in trace {path}")
+    step = 1.0 if len(data) == 1 else data[1, 0] - data[0, 0]
+    if step <= 0.0:
+        raise InputError(f"non-increasing parameter column in {path}")
     try:
-        return CurveTrace(step=step, samples=samples, metadata={"source": path})
+        require_uniform(data[:, 0], step)
+        return CurveTrace.from_array(step, data[:, 1:13], t0=data[0, 0], metadata={"source": path})
     except ValueError as exc:
         raise InputError(f"bad trace grid in {path}: {exc}") from exc
 
 
-def _write_scalar_csv(path, header, columns):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _start(args):
+    """Initial jet and step count of a run; warns when the jet was projected."""
+    jet, projected = initial_jet(load_config(args.config))
+    if projected:
+        print("warning: initial jet was off the arclength submanifold; projected", file=sys.stderr)
+    return jet, _grid(args.step, args.length)
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config)
-    jet, projected = initial_jet(cfg)
-    if projected:
-        print("warning: initial jet was off the arclength submanifold; projected", file=sys.stderr)
-    count = _grid(args.step, args.length)
+    jet, count = _start(args)
     try:
         trace = lagrangian.integrate_elastica(jet, args.step, count, method=args.method)
     except (ode.IntegrationError, ValueError) as exc:
@@ -169,32 +156,23 @@ def cmd_simulate(args):
 
 
 def cmd_hamiltonian(args):
-    cfg = load_config(args.config)
-    jet, projected = initial_jet(cfg)
-    if projected:
-        print("warning: initial jet was off the arclength submanifold; projected", file=sys.stderr)
-    count = _grid(args.step, args.length)
+    jet, count = _start(args)
     ps0 = hamiltonian.legendre(jet)
     try:
         phase_trace = hamiltonian.integrate_flow(
             ps0, args.step, count, method=args.method, project=args.project == "on"
         )
-        jets = [hamiltonian.arclength_jet_from_phase(ps) for ps in phase_trace.samples]
+        trace = hamiltonian.jet_trace(phase_trace)
     except (ode.IntegrationError, hamiltonian.NotInRangeError, ValueError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    trace = CurveTrace(step=args.step, samples=jets, metadata=phase_trace.metadata)
     write_trace(trace, args.out)
     print(f"wrote {len(trace)} samples to {args.out}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
-    cfg = load_config(args.config)
-    jet, projected = initial_jet(cfg)
-    if projected:
-        print("warning: initial jet was off the arclength submanifold; projected", file=sys.stderr)
-    count = _grid(args.step, args.length)
+    jet, count = _start(args)
     try:
         trace, branch = reconstruct.reduce_and_reconstruct(jet, args.step, count)
     except (ode.IntegrationError, reconstruct.BranchError, ValueError) as exc:
@@ -206,11 +184,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_reduce(args):
-    cfg = load_config(args.config)
-    jet, projected = initial_jet(cfg)
-    if projected:
-        print("warning: initial jet was off the arclength submanifold; projected", file=sys.stderr)
-    count = _grid(args.step, args.length)
+    jet, count = _start(args)
     cs = lagrangian.conserved_momenta(jet)
     c, _ = scalar.constants_from_momenta(cs)
     kappa0 = float(np.linalg.norm(jet.xddot))
@@ -228,7 +202,7 @@ def cmd_reduce(args):
     tau = np.where(
         np.abs(kappa) > KAPPA_MIN, c / np.maximum(np.abs(kappa), KAPPA_MIN) ** 2, 0.0
     )
-    _write_scalar_csv(args.out, "s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau))
+    _write_csv(args.out, "s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau))
     print(f"wrote {len(s)} samples to {args.out}")
     return EXIT_OK
 
@@ -245,34 +219,22 @@ def cmd_closed(args):
         return EXIT_INPUT
     count = _grid(args.step, args.length)
     j = angular_momentum_j(kappa0, tau0)
-    c2 = (
-        4.0 * kappa_dot0**2
-        + (lam - kappa0**2) ** 2
-        + (j**2 / (4.0 * kappa0**2) if j != 0.0 else 0.0)
-    )
-    c_norm = float(np.sqrt(c2))
 
     def rhs(t, y):
         return np.array(constrained_scalar_rhs(y[0], y[1], lam, j))
 
     try:
+        # |c| is the left side of the quadrature relation at s = 0.
+        c_norm = float(np.sqrt(foltinek_invariant(kappa0, kappa_dot0, tau0, lam, 0.0, j)))
         s, ys = ode.integrate(rhs, np.array([kappa0, kappa_dot0]), args.step, count)
-    except ode.IntegrationError as exc:
+        kappa, kappa_dot = ys[:, 0], ys[:, 1]
+        safe = np.maximum(np.abs(kappa), KAPPA_MIN)
+        tau = np.where(np.abs(kappa) > KAPPA_MIN, -j / (4.0 * safe**2), 0.0)
+        residual = foltinek_invariant(kappa, kappa_dot, tau, lam, c_norm, j)
+    except (ode.IntegrationError, scalar.SingularTorsionError) as exc:
         print(f"constrained scalar integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    kappa, kappa_dot = ys[:, 0], ys[:, 1]
-    tau = np.where(np.abs(kappa) > KAPPA_MIN, -j / (4.0 * np.maximum(np.abs(kappa), KAPPA_MIN) ** 2), 0.0)
-    residual = np.array(
-        [
-            foltinek_invariant(k, kd, t, lam, c_norm, j)
-            for k, kd, t in zip(kappa, kappa_dot, tau)
-        ]
-    )
-    _write_scalar_csv(
-        args.out,
-        "s,kappa,kappa_dot,foltinek_residual",
-        (s, kappa, kappa_dot, residual),
-    )
+    _write_csv(args.out, "s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual))
     print(
         f"wrote {len(s)} samples to {args.out}; max |foltinek residual| = "
         f"{np.max(np.abs(residual)):.3e}"
@@ -302,7 +264,7 @@ def cmd_compare(args):
     except (InputError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
-    print(f"sup position discrepancy: {_fmt(sup)}")
+    print(f"sup position discrepancy: {sup:.17g}")
     return EXIT_OK if sup <= args.tol else EXIT_VIOLATION
 
 

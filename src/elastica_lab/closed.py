@@ -55,15 +55,18 @@ def closed_el_residual(f, kappa_dot, lam, c):
 
 
 def foltinek_invariant(kappa, kappa_prime, tau, lam, c_norm, j):
-    """Residual of 4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 kappa^2) = c^2."""
-    if abs(kappa) <= KAPPA_MIN:
-        raise SingularTorsionError(f"kappa = {kappa}: invariant singular")
-    return (
-        4.0 * kappa_prime**2
-        + (lam - kappa**2) ** 2
-        + j**2 / (4.0 * kappa**2)
-        - c_norm**2
-    )
+    """Residual of 4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 kappa^2) = c^2.
+
+    Broadcasts over arrays of kappa and kappa'.  The j^2/(4 kappa^2) term is
+    absent when j = 0, so only j != 0 makes kappa = 0 singular.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    twist = 0.0
+    if j != 0.0:
+        if np.any(np.abs(kappa) <= KAPPA_MIN):
+            raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
+        twist = j**2 / (4.0 * kappa**2)
+    return 4.0 * kappa_prime**2 + (lam - kappa**2) ** 2 + twist - c_norm**2
 
 
 def angular_momentum_j(kappa, tau):

@@ -8,33 +8,14 @@ Used by the CLI `invariants` report and by the test suite.
 import numpy as np
 
 from .frenet import KAPPA_MIN
-
-
-def _dots(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
-def jet_arrays(trace):
-    """(x, xdot, xddot, xdddot) stacked as (N, 3) arrays."""
-    return (
-        trace.stacked("x"),
-        trace.stacked("xdot"),
-        trace.stacked("xddot"),
-        trace.stacked("xdddot"),
-    )
+from .geometry import arclength_conditions, dot
+from .hamiltonian import constraints
+from .lagrangian import conserved, momenta
 
 
 def arclength_defects(trace):
     """Per-sample residuals of the three arclength conditions, (N, 3)."""
-    _, xd, xdd, xddd = jet_arrays(trace)
-    return np.stack(
-        [
-            _dots(xd, xd) - 1.0,
-            _dots(xd, xdd),
-            _dots(xd, xddd) + _dots(xdd, xdd),
-        ],
-        axis=1,
-    )
+    return arclength_conditions(trace.xdot, trace.xddot, trace.xdddot)
 
 
 def momentum_arrays(trace):
@@ -42,57 +23,23 @@ def momentum_arrays(trace):
 
     Returns (p, l, H, c) with shapes (N,3), (N,3), (N,), (N,).
     """
-    x, xd, xdd, xddd = jet_arrays(trace)
-    v2 = _dots(xd, xd)
-    v = np.sqrt(v2)
-    xdd_perp = xdd - (_dots(xd, xdd) / v2)[:, None] * xd
-    xdd_perp = xdd_perp - (_dots(xd, xdd_perp) / v2)[:, None] * xd
-    xddd_perp = xddd - (_dots(xd, xddd) / v2)[:, None] * xd
-    p_xdot = 2.0 * xdd_perp / v[:, None] ** 3
-    p_x = (
-        -2.0 * xddd_perp / v[:, None] ** 3
-        + (6.0 * _dots(xd, xdd) / v**5)[:, None] * xdd_perp
-        - (_dots(xdd_perp, xdd_perp) / v**5)[:, None] * xd
-    )
-    L = _dots(xdd, xdd) / v**3 - _dots(xd, xdd) ** 2 / v**5
-    H = _dots(p_x, xd) + _dots(p_xdot, xdd) - L
-    p = -2.0 * xddd - 3.0 * _dots(xdd, xdd)[:, None] * xd
-    l = np.cross(x, p) + 2.0 * np.cross(xd, xdd)
-    c = _dots(np.cross(xd, xdd), xddd)
-    return p, l, H, c
-
-
-def ostrogradski_arrays(trace):
-    """Per-sample (p_x, p_xdot), valid in any parametrization."""
-    _, xd, xdd, xddd = jet_arrays(trace)
-    v2 = _dots(xd, xd)
-    v = np.sqrt(v2)
-    xdd_perp = xdd - (_dots(xd, xdd) / v2)[:, None] * xd
-    xdd_perp = xdd_perp - (_dots(xd, xdd_perp) / v2)[:, None] * xd
-    xddd_perp = xddd - (_dots(xd, xddd) / v2)[:, None] * xd
-    p_xdot = 2.0 * xdd_perp / v[:, None] ** 3
-    p_x = (
-        -2.0 * xddd_perp / v[:, None] ** 3
-        + (6.0 * _dots(xd, xdd) / v**5)[:, None] * xdd_perp
-        - (_dots(xdd_perp, xdd_perp) / v**5)[:, None] * xd
-    )
-    return p_x, p_xdot
+    return conserved(trace.x, trace.xdot, trace.xddot, trace.xdddot)
 
 
 def curvature_arrays(trace):
     """Per-sample (kappa, kappa_dot, tau); tau reported as 0 below the
     curvature floor, where it is not trustworthy anyway."""
-    _, xd, xdd, xddd = jet_arrays(trace)
-    kappa = np.sqrt(_dots(xdd, xdd))
+    xd, xdd, xddd = trace.xdot, trace.xddot, trace.xdddot
+    kappa = np.sqrt(dot(xdd, xdd))
     safe = np.maximum(kappa, KAPPA_MIN)
-    kappa_dot = np.where(kappa > KAPPA_MIN, _dots(xdd, xddd) / safe, 0.0)
-    tau = np.where(kappa > KAPPA_MIN, _dots(np.cross(xd, xdd), xddd) / safe**2, 0.0)
+    kappa_dot = np.where(kappa > KAPPA_MIN, dot(xdd, xddd) / safe, 0.0)
+    tau = np.where(kappa > KAPPA_MIN, dot(np.cross(xd, xdd), xddd) / safe**2, 0.0)
     return kappa, kappa_dot, tau
 
 
 def el_residual_array(trace):
     """Central-difference Euler-Lagrange residual at indices 1..N-2, (N-2, 3)."""
-    p_x, _ = ostrogradski_arrays(trace)
+    p_x, _ = momenta(trace.xdot, trace.xddot, trace.xdddot)
     return -(p_x[2:] - p_x[:-2]) / (2.0 * trace.step)
 
 
@@ -115,34 +62,32 @@ def scalar_identity_residuals(trace):
     scalar5: 4 (kappa_dot^2 + kappa^4/4 + <l,p>^2/(16 kappa^2)) - |p|^2
     xdot_p:  <xdot, p> + kappa^2
     """
-    _, xd, xdd, xddd = jet_arrays(trace)
     p, l, _, c = momentum_arrays(trace)
     kappa, kappa_dot, _ = curvature_arrays(trace)
-    lp = _dots(l, p)
+    lp = dot(l, p)
     scalar4 = c + 0.25 * lp
     safe = np.maximum(kappa, KAPPA_MIN)
     scalar5 = (
         4.0 * (kappa_dot**2 + 0.25 * kappa**4 + lp**2 / (16.0 * safe**2))
-        - _dots(p, p)
+        - dot(p, p)
     )
-    xdot_p = _dots(xd, p) + kappa**2
+    xdot_p = dot(trace.xdot, p) + kappa**2
     return scalar4, scalar5, xdot_p
 
 
 def reparametrization_charges(trace):
     """Values of the reparametrization charge -tau H - tau_dot <p_xdot, xdot>
-    for tau(t) in {1, t, e^t}; (N, 3) array, one column per generator."""
-    _, xd, xdd, _ = jet_arrays(trace)
+    for tau(t) in {1, t, e^t}; (N, 3) array, one column per generator.
+
+    Each column is divided by |tau| + |tau_dot|, so that the size of the
+    generator does not scale up roundoff in H; for e^t this leaves
+    -(H + <p_xdot, xdot>)/2 at every t.
+    """
     _, _, H, _ = momentum_arrays(trace)
-    _, p_xdot = ostrogradski_arrays(trace)
-    pv = _dots(p_xdot, xd)
+    _, p_xdot = momenta(trace.xdot, trace.xddot, trace.xdddot)
+    pv = dot(p_xdot, trace.xdot)
     t = trace.params()
-    cols = [
-        -1.0 * H - 0.0 * pv,
-        -t * H - 1.0 * pv,
-        -np.exp(t) * H - np.exp(t) * pv,
-    ]
-    return np.stack(cols, axis=1)
+    return np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
 
 
 def position_discrepancy(trace_a, trace_b):
@@ -157,15 +102,10 @@ def position_discrepancy(trace_a, trace_b):
 
 
 def phase_constraint_arrays(trace):
-    """(p_t, <p_xdot, xdot>, h) per sample of a phase-state trace, (N, 3)."""
-    pt = np.array([s.p_t for s in trace.samples])
-    xd = trace.stacked("xdot")
-    p_x = trace.stacked("p_x")
-    p_xd = trace.stacked("p_xdot")
-    v = np.sqrt(_dots(xd, xd))
-    pdot = _dots(p_xd, xd)
-    h = 0.25 * v**2 * _dots(p_xd, p_xd) + _dots(p_x, xd) / v
-    return np.stack([pt, pdot, h], axis=1)
+    """(p_t, <p_xdot, xdot>, h) per sample of a phase trace, (N, 3); a phase
+    trace stores p_t = 0."""
+    transversality, h = constraints(trace.xdot, trace.p_x, trace.p_xdot)
+    return np.stack([np.zeros(len(trace)), transversality, h], axis=1)
 
 
 def invariant_report(trace, tolerances=None):

@@ -1,11 +1,13 @@
-"""Value types for jets, phase points, moving frames and conserved quantities.
+"""Value types for jets, phase points, moving frames, conserved quantities
+and sampled traces.
 
-Everything is a plain value over numpy length-3 float arrays; nothing here
-mutates shared state.  Constructors reject NaN/Inf outright because every
-downstream formula divides by a norm.
+Single points are plain values over numpy length-3 float arrays; a trace is
+one (N, 12) array.  Nothing here mutates shared state.  Constructors reject
+NaN/Inf outright because every downstream formula divides by a norm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +32,15 @@ def vec3(v):
 
 
 def dot(u, v):
-    return float(np.dot(u, v))
+    """Inner product over the last axis, broadcast over leading axes.
+
+    A single pair of vectors goes through np.dot and a stack through einsum:
+    the two sum the three products in different orders, and each keeps the
+    rounding that the single-point and the trace results have always had.
+    """
+    if np.ndim(u) == np.ndim(v) == 1:
+        return np.dot(u, v)
+    return np.einsum("...i,...i->...", u, v)
 
 
 def cross(u, v):
@@ -55,6 +65,16 @@ def split_parallel(v, direction):
     return parallel, v - parallel
 
 
+def arclength_conditions(xdot, xddot, xdddot):
+    """Residuals of the three arclength submanifold conditions, stacked on a
+    last axis of length 3; broadcasts over (..., 3) inputs:
+
+    (|xdot|^2 - 1, <xdot, xddot>, <xdot, xdddot> + |xddot|^2)
+    """
+    conditions = (dot(xdot, xdot) - 1.0, dot(xdot, xddot), dot(xdot, xdddot) + dot(xddot, xddot))
+    return np.stack(conditions, axis=-1)
+
+
 @dataclass
 class JetState:
     """A third-jet point: parameter t with x and its first three derivatives."""
@@ -75,15 +95,8 @@ class JetState:
         self.xdddot = vec3(self.xdddot)
 
     def arclength_defects(self):
-        """Residuals of the three arclength submanifold conditions.
-
-        (|xdot|^2 - 1, <xdot, xddot>, <xdot, xdddot> + |xddot|^2)
-        """
-        return (
-            dot(self.xdot, self.xdot) - 1.0,
-            dot(self.xdot, self.xddot),
-            dot(self.xdot, self.xdddot) + dot(self.xddot, self.xddot),
-        )
+        """The three arclength residuals as a tuple (see arclength_conditions)."""
+        return tuple(arclength_conditions(self.xdot, self.xddot, self.xdddot).tolist())
 
     def is_arclength(self, tol=INVARIANT_TOL):
         return all(abs(d) <= tol for d in self.arclength_defects())
@@ -189,39 +202,83 @@ class ConservedSet:
             raise ValueError("non-finite conserved scalar")
 
 
-@dataclass
-class CurveTrace:
-    """Uniformly sampled trajectory: a list of JetState or PhaseState.
+def require_uniform(params, step):
+    """Raise ValueError unless consecutive params increase by step (within 1e-12)."""
+    if np.any(np.abs(np.diff(params) - step) > 1e-12):
+        raise ValueError("samples are not uniformly spaced by step")
 
-    The parameter of consecutive samples must increase by exactly `step`
-    (within 1e-12).  `metadata` carries gauge/integrator tags.
+
+# Per trace kind: the sample type and the names of its four column blocks.
+_KINDS = {
+    "jet": (JetState, ("x", "xdot", "xddot", "xdddot")),
+    "phase": (PhaseState, ("x", "xdot", "p_x", "p_xdot")),
+}
+
+
+class CurveTrace:
+    """Uniformly sampled trajectory stored as one read-only (N, 12) array.
+
+    Row i is the sample at t0 + i*step: (x, xdot, xddot, xdddot) for a jet
+    trace, (x, xdot, p_x, p_xdot) for a phase trace, whose p_t is 0.
+    `metadata` carries gauge/integrator tags.
     """
 
-    step: float
-    samples: list
-    metadata: dict = field(default_factory=dict)
+    x = property(lambda self: self.stacked("x"))
+    xdot = property(lambda self: self.stacked("xdot"))
+    xddot = property(lambda self: self.stacked("xddot"))
+    xdddot = property(lambda self: self.stacked("xdddot"))
+    p_x = property(lambda self: self.stacked("p_x"))
+    p_xdot = property(lambda self: self.stacked("p_xdot"))
 
-    def __post_init__(self):
-        self.step = float(self.step)
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if not self.samples:
+    def __init__(self, step, samples, metadata=None):
+        """Trace of a list of JetState, or of PhaseState with p_t = 0."""
+        if not samples:
             raise ValueError("trace needs at least one sample")
-        params = np.array([s.t for s in self.samples])
-        if len(params) > 1:
-            gaps = np.diff(params)
-            if np.any(np.abs(gaps - self.step) > 1e-12):
-                raise ValueError("samples are not uniformly spaced by step")
+        if any(getattr(s, "p_t", 0.0) != 0.0 for s in samples):
+            raise ValueError("a phase trace stores p_t = 0; got a sample with p_t != 0")
+        params = np.array([s.t for s in samples])
+        require_uniform(params, float(step))
+        kind = "phase" if isinstance(samples[0], PhaseState) else "jet"
+        self._init(step, np.array([s.to_array() for s in samples]), params[0], kind, metadata)
+
+    @classmethod
+    def from_array(cls, step, data, t0=0.0, kind="jet", metadata=None):
+        """Trace over an (N, 12) array, which it takes over read-only."""
+        trace = cls.__new__(cls)
+        trace._init(step, np.asarray(data, dtype=float), t0, kind, metadata)
+        return trace
+
+    def _init(self, step, data, t0, kind, metadata):
+        self.step, self.t0, self.kind = float(step), float(t0), kind
+        if not self.step > 0.0:
+            raise ValueError("step must be positive")
+        if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != 12:
+            raise ValueError(f"trace needs an (N >= 1, 12) array, got shape {data.shape}")
+        if not (np.isfinite(self.t0) and np.all(np.isfinite(data))):
+            raise ValueError("non-finite trace values")
+        data.flags.writeable = False
+        self.data = data
+        self.metadata = {} if metadata is None else metadata
 
     def __len__(self):
-        return len(self.samples)
+        return self.data.shape[0]
 
     def params(self):
-        return np.array([s.t for s in self.samples])
+        return self.t0 + self.step * np.arange(len(self))
 
     def stacked(self, attr):
-        """(N, 3) array of one vector field across all samples."""
-        return np.stack([getattr(s, attr) for s in self.samples])
+        """(N, 3) read-only view of one vector field across all samples."""
+        names = _KINDS[self.kind][1]
+        if attr not in names:
+            raise AttributeError(f"a {self.kind} trace has no field {attr!r}")
+        i = 3 * names.index(attr)
+        return self.data[:, i : i + 3]
 
     def positions(self):
         return self.stacked("x")
+
+    @cached_property
+    def samples(self):
+        """The rows as JetState or PhaseState values, built on first use."""
+        make = _KINDS[self.kind][0].from_array
+        return tuple(make(t, row) for t, row in zip(self.params(), self.data))

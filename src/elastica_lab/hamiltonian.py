@@ -21,8 +21,10 @@ from .geometry import CurveTrace, JetState, PhaseState, cross, dot, norm, vec3
 from .lagrangian import DomainError, ostrogradski_momenta
 
 # Residual size beyond which a phase point is treated as genuinely off the
-# constraint manifold rather than merely drifted.
+# constraint manifold rather than merely drifted; and the stricter size up to
+# which it counts as in the range of the Legendre transform.
 OFF_MANIFOLD_TOL = 1e-6
+RANGE_TOL = 1e-10
 
 
 class NotInRangeError(ValueError):
@@ -35,48 +37,77 @@ def legendre(j):
     return PhaseState(t=j.t, x=j.x, xdot=j.xdot, p_x=p_x, p_xdot=p_xdot, p_t=0.0)
 
 
+def constraints(xdot, p_x, p_xdot):
+    """(<p_xdot, xdot>, h) over (..., 3) arrays: with p_t, the functions
+    whose common zero set is the constraint manifold."""
+    v = np.sqrt(dot(xdot, xdot))
+    return dot(p_xdot, xdot), 0.25 * v * v * dot(p_xdot, p_xdot) + dot(p_x, xdot) / v
+
+
 def constraint_residuals(ps):
     """(p_t, <p_xdot, xdot>, h); all three vanish on the constraint manifold."""
-    v = norm(ps.xdot)
-    if v == 0.0:
+    if norm(ps.xdot) == 0.0:
         raise DomainError("xdot = 0: constraints undefined")
-    h = 0.25 * v * v * dot(ps.p_xdot, ps.p_xdot) + dot(ps.p_x, ps.xdot) / v
-    return ps.p_t, dot(ps.p_xdot, ps.xdot), h
+    return (ps.p_t, *map(float, constraints(ps.xdot, ps.p_x, ps.p_xdot)))
+
+
+def _require_in_range(residuals):
+    """Raise NotInRangeError at the first row of constraint residuals past RANGE_TOL."""
+    residuals = np.atleast_2d(residuals)
+    bad = np.flatnonzero(np.max(np.abs(residuals), axis=1) > RANGE_TOL)
+    if bad.size:
+        raise NotInRangeError(
+            f"not in the range of the Legendre transform at row {bad[0]}: {residuals[bad[0]]}"
+        )
+
+
+def fiber(xdot, p_x, p_xdot, xddot_par, xdddot_par):
+    """(xddot, xdddot) in the fiber of the Legendre transform over constraint
+    points, over (..., 3) arrays.  The perpendicular parts are pinned:
+
+        xddot_perp  = |xdot|^3 p_xdot / 2,
+        xdddot_perp = (-|xdot|^3 p_x_perp + 3 |xdot| <xdot, xddot_par> p_xdot)/2;
+
+    the parallel parts are the gauge freedom and must be parallel to xdot.
+    """
+    v = np.sqrt(dot(xdot, xdot))[..., None]
+    p_x_perp = p_x - (dot(p_x, xdot)[..., None] / v**2) * xdot
+    xdddot_perp = 0.5 * (-(v**3) * p_x_perp + 3.0 * v * dot(xdot, xddot_par)[..., None] * p_xdot)
+    return 0.5 * v**3 * p_xdot + xddot_par, xdddot_perp + xdddot_par
+
+
+def arclength_fiber(xdot, p_x, p_xdot):
+    """The fiber in the arclength gauge, xddot_par = 0 and
+    xdddot_par = -|xddot|^2 xdot / |xdot|^2, over (..., 3) arrays."""
+    zero = np.zeros_like(xdot)
+    xddot, xdddot_perp = fiber(xdot, p_x, p_xdot, zero, zero)
+    return xddot, xdddot_perp - (dot(xddot, xddot) / dot(xdot, xdot))[..., None] * xdot
 
 
 def legendre_fiber(ps, xddot_par, xdddot_par):
-    """A jet in the fiber of the Legendre transform over a constraint point.
-
-    The perpendicular parts are pinned:
-        xddot_perp  = |xdot|^3 p_xdot / 2,
-        xdddot_perp = (-|xdot|^3 p_x_perp + 3 |xdot| <xdot, xddot_par> p_xdot)/2;
-    the parallel parts are the caller's gauge freedom and must be parallel
-    to xdot.
-    """
-    res = constraint_residuals(ps)
-    if any(abs(r) > 1e-10 for r in res):
-        raise NotInRangeError(f"not in the range of the Legendre transform: {res}")
+    """The jet in the fiber over one constraint point with the given parallel parts."""
+    _require_in_range(constraint_residuals(ps))
     xddot_par = vec3(xddot_par)
     xdddot_par = vec3(xdddot_par)
     v = norm(ps.xdot)
     for name, w in (("xddot_par", xddot_par), ("xdddot_par", xdddot_par)):
         if norm(cross(w, ps.xdot)) > 1e-10 * max(1.0, norm(w)) * v:
             raise ValueError(f"{name} must be parallel to xdot")
-    xddot_perp = 0.5 * v**3 * ps.p_xdot
-    p_x_perp = ps.p_x - (dot(ps.p_x, ps.xdot) / v**2) * ps.xdot
-    xdddot_perp = 0.5 * (
-        -(v**3) * p_x_perp + 3.0 * v * dot(ps.xdot, xddot_par) * ps.p_xdot
-    )
-    return JetState(
-        ps.t, ps.x, ps.xdot, xddot_perp + xddot_par, xdddot_perp + xdddot_par
-    )
+    return JetState(ps.t, ps.x, ps.xdot, *fiber(ps.xdot, ps.p_x, ps.p_xdot, xddot_par, xdddot_par))
 
 
 def arclength_jet_from_phase(ps):
-    """The arclength-gauge fiber point: xddot_par = 0, xdddot_par = -|xddot|^2 xdot."""
-    v = norm(ps.xdot)
-    xddot_perp = 0.5 * v**3 * ps.p_xdot
-    return legendre_fiber(ps, np.zeros(3), -dot(xddot_perp, xddot_perp) * ps.xdot / v**2)
+    """The arclength-gauge fiber point over one constraint point."""
+    _require_in_range(constraint_residuals(ps))
+    return JetState(ps.t, ps.x, ps.xdot, *arclength_fiber(ps.xdot, ps.p_x, ps.p_xdot))
+
+
+def jet_trace(phase):
+    """The arclength-gauge jet trace over a phase trace, every row of which
+    must be in the range of the Legendre transform."""
+    _require_in_range(np.stack(constraints(phase.xdot, phase.p_x, phase.p_xdot), axis=-1))
+    jets = np.hstack([phase.x, phase.xdot, *arclength_fiber(phase.xdot, phase.p_x, phase.p_xdot)])
+    return CurveTrace.from_array(phase.step, jets, t0=phase.t0, metadata=phase.metadata)
 
 
 @dataclass
@@ -88,24 +119,23 @@ class PhaseDerivative:
     dp_xdot: np.ndarray
 
 
+def _require_on_manifold(ps):
+    res = constraint_residuals(ps)
+    if any(abs(r) > OFF_MANIFOLD_TOL for r in res):
+        raise NotInRangeError(f"phase point off the constraint manifold: {res}")
+
+
 def ham_rhs(ps):
     """Arclength-normalized constrained flow at an on-manifold phase point.
 
     The flow assumes |xdot| = 1 (preserved exactly, since dxdot is
     proportional to p_xdot, which is transverse to xdot on the manifold).
     """
-    res = constraint_residuals(ps)
-    if any(abs(r) > OFF_MANIFOLD_TOL for r in res):
-        raise NotInRangeError(f"phase point off the constraint manifold: {res}")
+    _require_on_manifold(ps)
     if abs(norm(ps.xdot) - 1.0) > OFF_MANIFOLD_TOL:
         raise NotInRangeError(f"flow needs arclength normalization, |xdot| = {norm(ps.xdot)}")
-    return PhaseDerivative(
-        dt=1.0,
-        dx=ps.xdot.copy(),
-        dxdot=0.5 * ps.p_xdot,
-        dp_x=np.zeros(3),
-        dp_xdot=-ps.p_x + 3.0 * dot(ps.p_x, ps.xdot) * ps.xdot,
-    )
+    d = _flat_rhs(ps.t, ps.to_array())
+    return PhaseDerivative(dt=1.0, dx=d[0:3], dxdot=d[3:6], dp_x=d[6:9], dp_xdot=d[9:12])
 
 
 def ham_rhs_general(ps):
@@ -118,9 +148,7 @@ def ham_rhs_general(ps):
     On the constraint manifold |xdot| is constant along its integral curves
     and x(s) traverses the same curve at unit rate for every speed.
     """
-    res = constraint_residuals(ps)
-    if any(abs(r) > OFF_MANIFOLD_TOL for r in res):
-        raise NotInRangeError(f"phase point off the constraint manifold: {res}")
+    _require_on_manifold(ps)
     v = norm(ps.xdot)
     return PhaseDerivative(
         dt=0.0,
@@ -146,11 +174,6 @@ def spherical_radial_momentum(ps):
     if v == 0.0:
         raise DomainError("xdot = 0: spherical chart undefined")
     return dot(ps.p_xdot, ps.xdot) / v
-
-
-def angular_momentum(ps):
-    """l = x cross p_x + xdot cross p_xdot, conserved by the flow."""
-    return cross(ps.x, ps.p_x) + cross(ps.xdot, ps.p_xdot)
 
 
 def separable_invariant(ps):
@@ -190,11 +213,10 @@ def integrate_flow(ps0, step, count, method="rk4", project=False):
     """Integrate the constrained flow from an on-manifold phase point.
 
     With project=True the constraints are re-imposed after every step;
-    the default measures true drift.  Returns a CurveTrace of PhaseState.
+    the default measures true drift.  Returns a phase CurveTrace, whose
+    p_t is 0 (the flow keeps p_t constant and the manifold has p_t = 0).
     """
-    res = constraint_residuals(ps0)
-    if any(abs(r) > OFF_MANIFOLD_TOL for r in res):
-        raise NotInRangeError(f"initial point off the constraint manifold: {res}")
+    _require_on_manifold(ps0)
     if abs(norm(ps0.xdot) - 1.0) > OFF_MANIFOLD_TOL:
         raise NotInRangeError("flow needs arclength normalization of the initial point")
     stepper = ode.integrate if method == "rk4" else ode.integrate_rk45
@@ -206,16 +228,7 @@ def integrate_flow(ps0, step, count, method="rk4", project=False):
             y = project_constraints(pair[1])
             ys.append(y)
         ys = np.array(ys)
-        ts = ps0.t + step * np.arange(count + 1)
     else:
-        ts, ys = stepper(_flat_rhs, ps0.to_array(), step, count, t0=ps0.t)
-    samples = [PhaseState.from_array(t, y) for t, y in zip(ts, ys)]
-    return CurveTrace(
-        step=step,
-        samples=samples,
-        metadata={
-            "gauge": "arclength",
-            "integrator": method,
-            "projected": bool(project),
-        },
-    )
+        _, ys = stepper(_flat_rhs, ps0.to_array(), step, count, t0=ps0.t)
+    metadata = {"gauge": "arclength", "integrator": method, "projected": bool(project)}
+    return CurveTrace.from_array(step, ys, t0=ps0.t, kind="phase", metadata=metadata)

@@ -8,12 +8,15 @@ parametrization is
 which equals kappa^2 |xdot|.  Dynamics are integrated in the arclength gauge
 only; the undetermined parallel part of the fourth derivative is fixed there
 by differentiating the arclength conditions.
+
+`density`, `momenta` and `conserved` broadcast over (..., 3) arrays; the
+single-jet functions and the trace audits in `diagnostics` both call them.
 """
 
 import numpy as np
 
 from . import ode
-from .geometry import ConservedSet, CurveTrace, JetState, cross, dot, norm
+from .geometry import ConservedSet, CurveTrace, JetState, arclength_conditions, cross, dot, norm
 
 
 class DomainError(ValueError):
@@ -44,40 +47,68 @@ def _require_arclength(j):
         )
 
 
-def lagrangian_density(j):
-    """L = |xddot|^2/|xdot|^3 - <xdot,xddot>^2/|xdot|^5."""
-    v = _speed(j)
-    return dot(j.xddot, j.xddot) / v**3 - dot(j.xdot, j.xddot) ** 2 / v**5
+def density(xdot, xddot):
+    """L = |xddot|^2/|xdot|^3 - <xdot,xddot>^2/|xdot|^5, over (..., 3) arrays."""
+    v = np.sqrt(dot(xdot, xdot))
+    return dot(xddot, xddot) / v**3 - dot(xdot, xddot) ** 2 / v**5
 
 
-def ostrogradski_momenta(j):
-    """Canonical momenta (p_x, p_xdot) of the second-order problem.
+def momenta(xdot, xddot, xdddot):
+    """Canonical momenta (p_x, p_xdot) of the second-order problem, over
+    (..., 3) arrays and in any parametrization:
 
     p_xdot = 2 xddot_perp / |xdot|^3  (perp taken against xdot), and
     p_x    = -2 xdddot_perp / |xdot|^3 + 6 <xdot,xddot> xddot_perp / |xdot|^5
              - |xddot_perp|^2 xdot / |xdot|^5.
     """
-    v = _speed(j)
-    xd, xdd, xddd = j.xdot, j.xddot, j.xdddot
-    v2 = v * v
-    xdd_perp = xdd - (dot(xd, xdd) / v2) * xd
+    v2 = dot(xdot, xdot)[..., None]
+    v = np.sqrt(v2)
+    xdd_perp = xddot - (dot(xdot, xddot)[..., None] / v2) * xdot
     # Second projection pass: kills the O(eps) parallel remainder so the
     # constraint <p_xdot, xdot> = 0 holds to ~eps^2, not just ~eps.
-    xdd_perp = xdd_perp - (dot(xd, xdd_perp) / v2) * xd
-    xddd_perp = xddd - (dot(xd, xddd) / v2) * xd
+    xdd_perp = xdd_perp - (dot(xdot, xdd_perp)[..., None] / v2) * xdot
+    xddd_perp = xdddot - (dot(xdot, xdddot)[..., None] / v2) * xdot
     p_xdot = 2.0 * xdd_perp / v**3
     p_x = (
         -2.0 * xddd_perp / v**3
-        + 6.0 * dot(xd, xdd) * xdd_perp / v**5
-        - dot(xdd_perp, xdd_perp) * xd / v**5
+        + (6.0 * dot(xdot, xddot)[..., None] / v**5) * xdd_perp
+        - (dot(xdd_perp, xdd_perp)[..., None] / v**5) * xdot
     )
     return p_x, p_xdot
 
 
+def conserved(x, xdot, xddot, xdddot):
+    """Conserved quantities (p, l, H, c) of arclength jets, over (..., 3) arrays.
+
+    p = -2 xdddot - 3 |xddot|^2 xdot,  l = x cross p + 2 xdot cross xddot,
+    H = <p_x, xdot> + <p_xdot, xddot> - L (zero on every solution, in any
+    parametrization), and c = kappa^2 tau = <xdot cross xddot, xdddot> (the
+    kappa^-2 in tau cancels, so c needs no curvature floor).
+    """
+    p_x, p_xdot = momenta(xdot, xddot, xdddot)
+    H = dot(p_x, xdot) + dot(p_xdot, xddot) - density(xdot, xddot)
+    p = -2.0 * xdddot - 3.0 * dot(xddot, xddot)[..., None] * xdot
+    l = cross(x, p) + 2.0 * cross(xdot, xddot)
+    c = dot(cross(xdot, xddot), xdddot)
+    return p, l, H, c
+
+
+def lagrangian_density(j):
+    """The density L at one jet."""
+    _speed(j)
+    return float(density(j.xdot, j.xddot))
+
+
+def ostrogradski_momenta(j):
+    """Canonical momenta (p_x, p_xdot) at one jet."""
+    _speed(j)
+    return momenta(j.xdot, j.xddot, j.xdddot)
+
+
 def energy(j):
-    """H = <p_x, xdot> + <p_xdot, xddot> - L; zero on every solution."""
-    p_x, p_xdot = ostrogradski_momenta(j)
-    return dot(p_x, j.xdot) + dot(p_xdot, j.xddot) - lagrangian_density(j)
+    """H = <p_x, xdot> + <p_xdot, xddot> - L at one jet; zero on every solution."""
+    _speed(j)
+    return float(conserved(j.x, j.xdot, j.xddot, j.xdddot)[2])
 
 
 def el_rhs_arclength(j):
@@ -86,9 +117,7 @@ def el_rhs_arclength(j):
     x'''' = -(3/2)|xddot|^2 xddot - 3 <xddot, xdddot> xdot.
     """
     _require_arclength(j)
-    return -1.5 * dot(j.xddot, j.xddot) * j.xddot - 3.0 * dot(
-        j.xddot, j.xdddot
-    ) * j.xdot
+    return _flat_rhs(j.t, j.to_array())[9:12]
 
 
 def el_residual(trace, index):
@@ -101,23 +130,16 @@ def el_residual(trace, index):
     n = len(trace)
     if index < 2 or index > n - 3:
         raise IndexError(f"index {index} leaves no room for a centered stencil")
-    p_prev, _ = ostrogradski_momenta(trace.samples[index - 1])
-    p_next, _ = ostrogradski_momenta(trace.samples[index + 1])
-    return -(p_next - p_prev) / (2.0 * trace.step)
+    rows = slice(index - 1, index + 2, 2)
+    p_x, _ = momenta(trace.xdot[rows], trace.xddot[rows], trace.xdddot[rows])
+    return -(p_x[1] - p_x[0]) / (2.0 * trace.step)
 
 
 def conserved_momenta(j):
-    """All conserved quantities of an arclength jet.
-
-    p = -2 xdddot - 3 |xddot|^2 xdot,  l = x cross p + 2 xdot cross xddot,
-    H is the energy, and c = kappa^2 tau = <xdot cross xddot, xdddot>
-    (the kappa^-2 in tau cancels, so c needs no curvature floor).
-    """
+    """All conserved quantities of one arclength jet, as a ConservedSet."""
     _require_arclength(j)
-    p = -2.0 * j.xdddot - 3.0 * dot(j.xddot, j.xddot) * j.xdot
-    l = cross(j.x, p) + 2.0 * cross(j.xdot, j.xddot)
-    c = dot(cross(j.xdot, j.xddot), j.xdddot)
-    return ConservedSet(p=p, l=l, H=energy(j), c=c)
+    p, l, H, c = conserved(j.x, j.xdot, j.xddot, j.xdddot)
+    return ConservedSet(p=p, l=l, H=H, c=c)
 
 
 def project_arclength(j):
@@ -146,12 +168,23 @@ def _flat_rhs(t, y):
 def integrate_elastica(j0, step, count, method="rk4"):
     """Integrate the arclength dynamics from an arclength jet.
 
-    Returns a CurveTrace of JetState samples spaced by `step`.
+    Returns a jet CurveTrace spaced by `step`.  Direct integration drifts off
+    the arclength submanifold over long arcs, so a trace with an arclength
+    defect above ARCLENGTH_TOL raises IntegrationError at its first bad row.
     """
     _require_arclength(j0)
     integrator = ode.integrate if method == "rk4" else ode.integrate_rk45
-    ts, ys = integrator(_flat_rhs, j0.to_array(), step, count, t0=j0.t)
-    samples = [JetState.from_array(t, y) for t, y in zip(ts, ys)]
-    return CurveTrace(
-        step=step, samples=samples, metadata={"gauge": "arclength", "integrator": method}
+    _, ys = integrator(_flat_rhs, j0.to_array(), step, count, t0=j0.t)
+    trace = CurveTrace.from_array(
+        step, ys, t0=j0.t, metadata={"gauge": "arclength", "integrator": method}
     )
+    defects = np.abs(arclength_conditions(trace.xdot, trace.xddot, trace.xdddot))
+    bad = np.flatnonzero(np.max(defects, axis=1) > ARCLENGTH_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise ode.IntegrationError(
+            f"off the arclength submanifold at s = {trace.params()[i]:.6g}: "
+            f"defects {defects[i]} exceed {ARCLENGTH_TOL}",
+            i,
+        )
+    return trace

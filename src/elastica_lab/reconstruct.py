@@ -25,7 +25,7 @@ import enum
 import numpy as np
 
 from .frenet import KAPPA_MIN
-from .geometry import CurveTrace, JetState, cross, dot, norm, vec3
+from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
 from .ode import cumulative_simpson
 from .scalar import constants_from_momenta, integrate_scalar
@@ -94,7 +94,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     Positions come from quadrature of
         xdot(s) = -kappa^2 p/|p|^2 - (sqrt(|p|^2-kappa^4)/|p|) E(s);
     the higher jet slots are recovered by expanding the Frenet frame over the
-    orthonormal triple (p/|p|, D, E).  Returns a CurveTrace of JetState.
+    orthonormal triple (p/|p|, D, E).  Returns a jet CurveTrace.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
@@ -132,13 +132,8 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     xddot = kappa[:, None] * N
     xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * xdot + (kappa * tau)[:, None] * B
 
-    samples = [
-        JetState(t0 + i * step, x[i], xdot[i], xddot[i], xdddot[i])
-        for i in range(len(kappa))
-    ]
-    return CurveTrace(
-        step=step, samples=samples, metadata={"gauge": "arclength", "integrator": "reconstruct"}
-    )
+    meta = {"gauge": "arclength", "integrator": "reconstruct"}
+    return CurveTrace.from_array(step, np.hstack([x, xdot, xddot, xdddot]), t0=t0, metadata=meta)
 
 
 def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0):
@@ -172,12 +167,9 @@ def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0
     xddot = kappa[:, None] * N
     xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * T
 
-    samples = [
-        JetState(t0 + i * step, x[i], T[i], xddot[i], xdddot[i])
-        for i in range(len(kappa))
-    ]
-    return CurveTrace(
-        step=step, samples=samples, metadata={"gauge": "arclength", "integrator": "reconstruct_planar"}
+    data = np.hstack([x, T, xddot, xdddot])
+    return CurveTrace.from_array(
+        step, data, t0=t0, metadata={"gauge": "arclength", "integrator": "reconstruct_planar"}
     )
 
 
@@ -189,13 +181,10 @@ def reconstruct_line(x0, tangent, step, count, t0=0.0):
     if n == 0.0:
         raise BranchError("line needs a nonzero tangent")
     t_hat = t_hat / n
-    zero = np.zeros(3)
-    samples = [
-        JetState(t0 + i * step, x0 + i * step * t_hat, t_hat, zero, zero)
-        for i in range(count + 1)
-    ]
-    return CurveTrace(
-        step=step, samples=samples, metadata={"gauge": "arclength", "integrator": "reconstruct_line"}
+    arc = (step * np.arange(count + 1))[:, None]
+    data = np.hstack([x0 + arc * t_hat, np.tile(t_hat, (count + 1, 1)), np.zeros((count + 1, 6))])
+    return CurveTrace.from_array(
+        step, data, t0=t0, metadata={"gauge": "arclength", "integrator": "reconstruct_line"}
     )
 
 

@@ -221,3 +221,50 @@ def test_closed_subcommand(tmp_path):
     assert lines[0] == "s,kappa,kappa_dot,foltinek_residual"
     residuals = [abs(float(line.split(",")[3])) for line in lines[1:]]
     assert max(residuals) <= 1e-8
+
+
+def test_simulate_long_drift_exits_3(tmp_path, capsys):
+    # Direct integration leaves the arclength submanifold near s = 17.6 at
+    # this step; the watchdog must fail the run and write nothing.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = tmp_path / "drift.csv"
+    assert run(["simulate", "--config", cfg, "--out", str(out), "--step", "5e-3", "--length", "60"]) == 3
+    assert "arclength" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_long_hamiltonian_trace_has_no_false_violation(tmp_path):
+    # The reparametrization charge of the e^t generator used to scale
+    # roundoff in H by e^t and flag every accurate trace past s ~ 25.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = str(tmp_path / "ham.csv")
+    report = tmp_path / "report.json"
+    assert run(["hamiltonian", "--config", cfg, "--out", out, "--step", "2e-3", "--length", "60"]) == 0
+    assert run(["invariants", "--trace", out, "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["violations"] == []
+    assert payload["residuals"]["repar_charge"] <= 1e-12
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_invariants_non_finite_trace_exits_2(tmp_path, bad):
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = tmp_path / "trace.csv"
+    assert run(["simulate", "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 0
+    lines = out.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[5] = bad
+    lines[3] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "r.json")]) == 2
+
+
+def test_closed_at_zero_curvature(tmp_path):
+    # kappa0 = 0 gives j = 0, where the quadrature relation has no
+    # j^2/(4 kappa^2) term and stays regular through kappa = 0.
+    cfg = write_cfg(tmp_path, dict(FRAME_CFG, kappa0=0.0, **{"lambda": 1.0}))
+    out = tmp_path / "closed.csv"
+    assert run(["closed", "--config", cfg, "--out", str(out), "--step", "1e-3", "--length", "1.0"]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data[0, 1] == 0.0
+    assert np.max(np.abs(data[:, 3])) <= 1e-12

@@ -143,3 +143,10 @@ def test_constrained_norm_constancy():
     tau = -j / (4.0 * kappa**2)
     norms = (lam - kappa**2) ** 2 + 4.0 * kappa_dot**2 + 4.0 * kappa**2 * tau**2
     assert np.max(np.abs(norms - norms[0])) <= 1e-10
+
+
+def test_foltinek_regular_at_zero_curvature_without_twist():
+    assert closed.foltinek_invariant(0.0, 0.5, 0.0, 1.0, np.sqrt(2.0), 0.0) == pytest.approx(0.0, abs=1e-15)
+    kappa = np.array([0.0, 0.5, 1.0])
+    values = closed.foltinek_invariant(kappa, np.zeros(3), 0.0, 0.0, 0.0, 0.0)
+    np.testing.assert_allclose(values, kappa**4, atol=1e-15)

@@ -121,3 +121,38 @@ def test_curve_trace_stacking():
     tr = CurveTrace(step=1.0, samples=[mk(0.0), mk(1.0)])
     assert tr.positions().shape == (2, 3)
     np.testing.assert_array_equal(tr.params(), [0.0, 1.0])
+
+
+def test_curve_trace_from_array_views():
+    data = np.arange(24, dtype=float).reshape(2, 12)
+    tr = CurveTrace.from_array(0.5, data, t0=1.0, metadata={"gauge": "arclength"})
+    assert len(tr) == 2 and tr.kind == "jet"
+    np.testing.assert_array_equal(tr.params(), [1.0, 1.5])
+    np.testing.assert_array_equal(tr.xddot, data[:, 6:9])
+    np.testing.assert_array_equal(tr.samples[1].xdddot, data[1, 9:12])
+    assert tr.samples[1].t == 1.5
+    with pytest.raises(ValueError):
+        tr.x[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        tr.p_x
+
+
+def test_curve_trace_from_array_rejects_bad_arrays():
+    with pytest.raises(ValueError):
+        CurveTrace.from_array(0.5, np.zeros((0, 12)))
+    with pytest.raises(ValueError):
+        CurveTrace.from_array(0.5, np.zeros((3, 9)))
+    with pytest.raises(ValueError):
+        CurveTrace.from_array(0.5, np.full((2, 12), np.nan))
+
+
+def test_phase_trace_layout_and_p_t():
+    mk = lambda t, p_t=0.0: PhaseState(t, [t, 0, 0], [1, 0, 0], [0, 0, 1], [0, 2, 0], p_t)
+    tr = CurveTrace(step=0.5, samples=[mk(0.0), mk(0.5)])
+    assert tr.kind == "phase"
+    np.testing.assert_array_equal(tr.p_xdot, [[0, 2, 0], [0, 2, 0]])
+    assert tr.samples[1].p_t == 0.0
+    with pytest.raises(AttributeError):
+        tr.xddot
+    with pytest.raises(ValueError):
+        CurveTrace(step=0.5, samples=[mk(0.0), mk(0.5, p_t=1e-3)])
