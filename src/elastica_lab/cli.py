@@ -228,9 +228,7 @@ def cmd_closed(args):
         c_norm = float(np.sqrt(foltinek_invariant(kappa0, kappa_dot0, tau0, lam, 0.0, j)))
         s, ys = ode.integrate(rhs, np.array([kappa0, kappa_dot0]), args.step, count)
         kappa, kappa_dot = ys[:, 0], ys[:, 1]
-        safe = np.maximum(np.abs(kappa), KAPPA_MIN)
-        tau = np.where(np.abs(kappa) > KAPPA_MIN, -j / (4.0 * safe**2), 0.0)
-        residual = foltinek_invariant(kappa, kappa_dot, tau, lam, c_norm, j)
+        residual = foltinek_invariant(kappa, kappa_dot, 0.0, lam, c_norm, j)
     except (ode.IntegrationError, scalar.SingularTorsionError) as exc:
         print(f"constrained scalar integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -12,6 +12,21 @@ from .geometry import arclength_conditions, dot
 from .hamiltonian import constraints
 from .lagrangian import conserved, momenta
 
+# The acceptance values for a standard run, per invariant_report residual.
+TOLERANCES = {
+    "arclength": 1e-8,
+    "el_residual": 1e-5,
+    "p_drift": 1e-8,
+    "l_drift": 1e-8,
+    "H_abs": 1e-10,
+    "c_drift": 1e-8,
+    "scalar4": 1e-8,
+    "scalar5": 1e-8,
+    "xdot_p": 1e-8,
+    "first_integral": 1e-8,
+    "repar_charge": 1e-6,
+}
+
 
 def arclength_defects(trace):
     """Per-sample residuals of the three arclength conditions, (N, 3)."""
@@ -108,27 +123,11 @@ def phase_constraint_arrays(trace):
     return np.stack([np.zeros(len(trace)), transversality, h], axis=1)
 
 
-def invariant_report(trace, tolerances=None):
-    """Summary residuals of a jet trace, against the given tolerances.
+def invariant_report(trace):
+    """Summary residuals of a jet trace, against TOLERANCES.
 
-    Returns (report dict, ok flag).  Tolerances default to the acceptance
-    values for a standard run.
+    Returns (report dict, ok flag).
     """
-    tol = {
-        "arclength": 1e-8,
-        "el_residual": 1e-5,
-        "p_drift": 1e-8,
-        "l_drift": 1e-8,
-        "H_abs": 1e-10,
-        "c_drift": 1e-8,
-        "scalar4": 1e-8,
-        "scalar5": 1e-8,
-        "xdot_p": 1e-8,
-        "first_integral": 1e-8,
-        "repar_charge": 1e-6,
-    }
-    if tolerances:
-        tol.update(tolerances)
     p, l, H, c = momentum_arrays(trace)
     defects = arclength_defects(trace)
     scalar4, scalar5, xdot_p = scalar_identity_residuals(trace)
@@ -165,7 +164,7 @@ def invariant_report(trace, tolerances=None):
         # floor carry a placeholder torsion and are counted, not judged.
         "torsion_low_confidence_samples": int(np.sum(kappa <= KAPPA_MIN)),
         "residuals": measured,
-        "tolerances": {k: tol[k] for k in measured},
-        "violations": [k for k, v in measured.items() if v > tol[k]],
+        "tolerances": {k: TOLERANCES[k] for k in measured},
+        "violations": [k for k, v in measured.items() if v > TOLERANCES[k]],
     }
     return report, not report["violations"]

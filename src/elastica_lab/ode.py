@@ -19,11 +19,11 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, initial, step, count, t0=0.0):
-    """Classical RK4 with fixed step.
+def _march(advance, rhs, initial, step, count, t0, project):
+    """The output-grid loop shared by both integrators.
 
-    rhs(t, y) -> dy/dt on flat float arrays.  Returns (ts, ys) with
-    ys.shape == (count + 1, len(initial)) at uniform spacing `step`.
+    advance(rhs, t, y, step) -> y one output interval later.  `project`, if
+    given, maps each new finite state to the state stored and marched on.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -35,13 +35,27 @@ def integrate(rhs, initial, step, count, t0=0.0):
     ys[0] = y
     for i in range(count):
         try:
-            y = _rk4_step(rhs, ts[i], y, step)
+            y = advance(rhs, ts[i], y, step)
+        except IntegrationError as exc:
+            raise IntegrationError(f"{exc} at step {i}", i) from exc
         except Exception as exc:
             raise IntegrationError(f"rhs failed at step {i}: {exc}", i) from exc
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"state became non-finite at step {i}", i)
+        if project is not None:
+            y = project(y)
         ys[i + 1] = y
     return ts, ys
+
+
+def integrate(rhs, initial, step, count, t0=0.0, project=None):
+    """Classical RK4 with fixed step.
+
+    rhs(t, y) -> dy/dt on flat float arrays.  Returns (ts, ys) with
+    ys.shape == (count + 1, len(initial)) at uniform spacing `step`.
+    `project(y)`, if given, is applied to every new grid state.
+    """
+    return _march(_rk4_step, rhs, initial, step, count, t0, project)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -74,51 +88,43 @@ def _dp_step(rhs, t, y, h):
     return y5, np.max(np.abs(y5 - y4))
 
 
-def _advance_adaptive(rhs, t, y, span, rtol, atol, step_index):
+# Error tolerances of the adaptive integrator, and the fraction of an output
+# step below which a rejected substep makes it give up.
+RTOL = 1e-10
+ATOL = 1e-12
+MIN_SUBSTEP = 1e-14
+
+
+def _advance_adaptive(rhs, t, y, span):
     """Advance exactly `span` with embedded-error-controlled substeps."""
     remaining = span
     h = span
     while remaining > 0.0:
         h = min(h, remaining)
-        for _ in range(60):
-            try:
-                y_new, err = _dp_step(rhs, t, y, h)
-            except Exception as exc:
-                raise IntegrationError(
-                    f"rhs failed at step {step_index}: {exc}", step_index
-                ) from exc
-            scale = atol + rtol * max(np.max(np.abs(y)), np.max(np.abs(y_new)))
-            if err <= scale or h <= 1e-14 * span:
+        while True:
+            y_new, err = _dp_step(rhs, t, y, h)
+            scale = ATOL + RTOL * max(np.max(np.abs(y)), np.max(np.abs(y_new)))
+            if err <= scale:
                 break
             h *= max(0.1, 0.9 * (scale / err) ** 0.2)
-        else:
-            raise IntegrationError(
-                f"step control failed to converge at step {step_index}", step_index
-            )
+            if h <= MIN_SUBSTEP * span:
+                raise IntegrationError(
+                    f"substep fell to {h:.3g} with error {err:.3g} > {scale:.3g}"
+                )
         t += h
         remaining -= h
         y = y_new
-        if err > 0.0:
-            h *= min(5.0, 0.9 * (scale / err) ** 0.2)
+        h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
     return y
 
 
-def integrate_rk45(rhs, initial, step, count, t0=0.0, rtol=1e-10, atol=1e-12):
-    """Adaptive Dormand-Prince 5(4) emitting the same uniform grid as `integrate`."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    y = np.asarray(initial, dtype=float).copy()
-    ts = t0 + step * np.arange(count + 1)
-    ys = np.empty((count + 1, y.size))
-    ys[0] = y
-    for i in range(count):
-        y = _advance_adaptive(rhs, ts[i], y, step, rtol, atol, i)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"state became non-finite at step {i}", i)
-        ys[i + 1] = y
-    return ts, ys
+def integrate_rk45(rhs, initial, step, count, t0=0.0, project=None):
+    """Adaptive Dormand-Prince 5(4) emitting the same uniform grid as `integrate`.
+
+    Raises IntegrationError when a rejected substep falls to MIN_SUBSTEP of
+    `step` or below.
+    """
+    return _march(_advance_adaptive, rhs, initial, step, count, t0, project)
 
 
 def simpson(samples, step):

@@ -246,6 +246,17 @@ def test_long_hamiltonian_trace_has_no_false_violation(tmp_path):
     assert payload["residuals"]["repar_charge"] <= 1e-12
 
 
+def test_coarse_hamiltonian_run_passes_the_range_check(tmp_path):
+    # At h = 5e-3 one row drifts 1.003e-10 off the constraint manifold, well
+    # inside the flow's own OFF_MANIFOLD_TOL; the audit still flags l_drift.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = str(tmp_path / "ham.csv")
+    report = tmp_path / "report.json"
+    assert run(["hamiltonian", "--config", cfg, "--out", out, "--step", "5e-3", "--length", "60"]) == 0
+    assert run(["invariants", "--trace", out, "--report", str(report)]) == 1
+    assert json.loads(report.read_text())["violations"] == ["l_drift"]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_invariants_non_finite_trace_exits_2(tmp_path, bad):
     cfg = write_cfg(tmp_path, FRAME_CFG)

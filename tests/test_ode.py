@@ -77,6 +77,39 @@ def test_rk45_rhs_failure():
         ode.integrate_rk45(rhs, np.array([1.0]), 0.1, 2)
 
 
+def _jump(height):
+    """y' = height for t > 0.05, else 0; gives up after 10^5 evaluations
+    instead of hanging."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        if calls[0] > 100_000:
+            raise RuntimeError("step controller does not finish")
+        return np.array([height if t > 0.05 else 0.0])
+
+    return rhs
+
+
+def test_rk45_step_recovers_after_a_jump():
+    # Past the jump the error estimate is zero, so h must grow back.
+    _, ys = ode.integrate_rk45(_jump(1.0), np.array([0.0]), 0.1, 1)
+    assert abs(ys[-1, 0] - 0.05) <= 1e-9
+
+
+def test_rk45_gives_up_loudly():
+    with pytest.raises(ode.IntegrationError, match="substep") as err:
+        ode.integrate_rk45(_jump(1e6), np.array([0.0]), 0.1, 1)
+    assert err.value.step_index == 0
+
+
+@pytest.mark.parametrize("integrator", [ode.integrate, ode.integrate_rk45])
+def test_project_hook_applies_to_every_grid_state(integrator):
+    # y' = 1 with y halved after each step: y1 = 0.05, y2 = (0.05 + 0.1) / 2.
+    _, ys = integrator(lambda t, y: np.ones_like(y), np.zeros(1), 0.1, 2, project=lambda y: y / 2)
+    np.testing.assert_allclose(ys[:, 0], [0.0, 0.05, 0.075], rtol=1e-14)
+
+
 def test_simpson_constant():
     assert ode.simpson(np.ones(11), 0.1) == pytest.approx(1.0, abs=1e-15)
 
