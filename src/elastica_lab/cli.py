@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
-from .closed import angular_momentum_j, constrained_scalar_rhs, foltinek_invariant
+from .closed import SingularTorsionError, angular_momentum_j, foltinek_invariant
 from .frenet import KAPPA_MIN, jet_from_frame
 from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState, require_uniform, vec3
 
@@ -185,23 +185,16 @@ def cmd_reconstruct(args):
 
 def cmd_reduce(args):
     jet, count = _start(args)
-    cs = lagrangian.conserved_momenta(jet)
-    c, _ = scalar.constants_from_momenta(cs)
-    kappa0 = float(np.linalg.norm(jet.xddot))
-    if kappa0 <= KAPPA_MIN:
+    branch, kappa0, kappa_dot0, c = reconstruct.reduce_jet(jet, lagrangian.conserved_momenta(jet))
+    if branch is reconstruct.Branch.DEGENERATE_LINE:
         print("straight line: nothing to reduce", file=sys.stderr)
         return EXIT_INPUT
-    kappa_dot0 = float(np.dot(jet.xddot, jet.xdddot)) / kappa0
     try:
-        s, kappa, kappa_dot = scalar.integrate_scalar(
-            kappa0, kappa_dot0, c, args.step, count
-        )
-    except (ode.IntegrationError, scalar.SingularTorsionError) as exc:
+        s, kappa, kappa_dot = scalar.integrate_scalar(kappa0, kappa_dot0, c, args.step, count)
+        tau = scalar.torsion_from_c(kappa, c)
+    except (ode.IntegrationError, SingularTorsionError) as exc:
         print(f"scalar integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    tau = np.where(
-        np.abs(kappa) > KAPPA_MIN, c / np.maximum(np.abs(kappa), KAPPA_MIN) ** 2, 0.0
-    )
     _write_csv(args.out, "s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau))
     print(f"wrote {len(s)} samples to {args.out}")
     return EXIT_OK
@@ -219,17 +212,14 @@ def cmd_closed(args):
         return EXIT_INPUT
     count = _grid(args.step, args.length)
     j = angular_momentum_j(kappa0, tau0)
-
-    def rhs(t, y):
-        return np.array(constrained_scalar_rhs(y[0], y[1], lam, j))
-
     try:
         # |c| is the left side of the quadrature relation at s = 0.
         c_norm = float(np.sqrt(foltinek_invariant(kappa0, kappa_dot0, tau0, lam, 0.0, j)))
-        s, ys = ode.integrate(rhs, np.array([kappa0, kappa_dot0]), args.step, count)
-        kappa, kappa_dot = ys[:, 0], ys[:, 1]
+        s, kappa, kappa_dot = scalar.integrate_scalar(
+            kappa0, kappa_dot0, -0.25 * j, args.step, count, lam
+        )
         residual = foltinek_invariant(kappa, kappa_dot, 0.0, lam, c_norm, j)
-    except (ode.IntegrationError, scalar.SingularTorsionError) as exc:
+    except (ode.IntegrationError, SingularTorsionError) as exc:
         print(f"constrained scalar integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _write_csv(args.out, "s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual))

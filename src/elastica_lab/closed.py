@@ -16,7 +16,9 @@ relation
 
     4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 kappa^2) = |c|^2,
 
-which at lambda = 0 identifies |c| with |p| and j with <l, p>.
+which at lambda = 0 identifies |c| with |p| and j with <l, p>.  The free
+elastica is therefore the lambda = 0, j = -4 kappa^2 tau case of
+constrained_scalar_rhs and foltinek_invariant.
 """
 
 import numpy as np
@@ -24,7 +26,10 @@ import numpy as np
 from .frenet import KAPPA_MIN
 from .geometry import dot, norm, vec3
 from .lagrangian import DomainError
-from .scalar import SingularTorsionError
+
+
+class SingularTorsionError(ValueError):
+    """kappa at or below the floor with j != 0, where tau = -j/(4 kappa^2) is singular."""
 
 
 def reduced_lagrangian(q, qdot, lam, c):

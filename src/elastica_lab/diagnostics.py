@@ -70,22 +70,24 @@ def relative_drift(values):
     return float(np.max(dev)) / scale
 
 
+def floored_first_integral(kappa, kappa_dot, c):
+    """kappa_dot^2 + kappa^4/4 + c^2/kappa^2 per sample, kappa floored at
+    KAPPA_MIN: an audit reports a large value there instead of raising."""
+    return kappa_dot**2 + 0.25 * kappa**4 + c**2 / np.maximum(kappa, KAPPA_MIN) ** 2
+
+
 def scalar_identity_residuals(trace):
     """Pointwise residuals of the reduced-scalar identities, per sample:
 
     scalar4: kappa^2 tau + <l,p>/4
-    scalar5: 4 (kappa_dot^2 + kappa^4/4 + <l,p>^2/(16 kappa^2)) - |p|^2
+    scalar5: 4 (kappa_dot^2 + kappa^4/4 + c^2/kappa^2) - |p|^2,  c = -<l,p>/4
     xdot_p:  <xdot, p> + kappa^2
     """
     p, l, _, c = momentum_arrays(trace)
     kappa, kappa_dot, _ = curvature_arrays(trace)
     lp = dot(l, p)
     scalar4 = c + 0.25 * lp
-    safe = np.maximum(kappa, KAPPA_MIN)
-    scalar5 = (
-        4.0 * (kappa_dot**2 + 0.25 * kappa**4 + lp**2 / (16.0 * safe**2))
-        - dot(p, p)
-    )
+    scalar5 = 4.0 * floored_first_integral(kappa, kappa_dot, -0.25 * lp) - dot(p, p)
     xdot_p = dot(trace.xdot, p) + kappa**2
     return scalar4, scalar5, xdot_p
 
@@ -132,13 +134,9 @@ def invariant_report(trace):
     defects = arclength_defects(trace)
     scalar4, scalar5, xdot_p = scalar_identity_residuals(trace)
     kappa, kappa_dot, _ = curvature_arrays(trace)
-    lp0 = float(np.dot(l[0], p[0]))
-    c0 = -0.25 * lp0
+    c0 = -0.25 * float(np.dot(l[0], p[0]))
     level = 0.25 * float(np.dot(p[0], p[0]))
-    if c0 == 0.0:
-        fi = kappa_dot**2 + 0.25 * kappa**4
-    else:
-        fi = kappa_dot**2 + 0.25 * kappa**4 + c0**2 / np.maximum(kappa, KAPPA_MIN) ** 2
+    fi = floored_first_integral(kappa, kappa_dot, c0)
     charges = reparametrization_charges(trace)
 
     measured = {

@@ -1,7 +1,7 @@
 """Frenet frames from jets, the frame ODE, and jet synthesis from frame data."""
 
 from .geometry import FrenetFrame, JetState, cross, dot, norm
-from .lagrangian import GaugeError
+from .lagrangian import ARCLENGTH_TOL, GaugeError
 
 # Below this curvature the normal N = xddot/kappa amplifies noise past usable
 # precision at the default step size; frame extraction refuses to proceed.
@@ -18,7 +18,7 @@ def frenet_frame(j, kappa_min=KAPPA_MIN):
     T = xdot, N = xddot/kappa, B = T x N, kappa = |xddot|, and
     tau = <xdot cross xddot, xdddot> / kappa^2.
     """
-    if not j.is_arclength(tol=1e-6):
+    if not j.is_arclength(tol=ARCLENGTH_TOL):
         raise GaugeError("frenet_frame needs an arclength jet")
     kappa = norm(j.xddot)
     if kappa <= kappa_min:

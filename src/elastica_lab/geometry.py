@@ -32,14 +32,7 @@ def vec3(v):
 
 
 def dot(u, v):
-    """Inner product over the last axis, broadcast over leading axes.
-
-    A single pair of vectors goes through np.dot and a stack through einsum:
-    the two sum the three products in different orders, and each keeps the
-    rounding that the single-point and the trace results have always had.
-    """
-    if np.ndim(u) == np.ndim(v) == 1:
-        return np.dot(u, v)
+    """Inner product over the last axis, broadcast over leading axes."""
     return np.einsum("...i,...i->...", u, v)
 
 

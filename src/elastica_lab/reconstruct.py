@@ -28,7 +28,7 @@ from .frenet import KAPPA_MIN
 from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
 from .ode import cumulative_simpson
-from .scalar import constants_from_momenta, integrate_scalar
+from .scalar import constants_from_momenta, integrate_scalar, torsion_from_c
 
 # Relative floor for |p|^2 - kappa^4; below it xdot is numerically parallel
 # to p and the generic branch is invalid.
@@ -113,7 +113,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
 
     w = np.sqrt(p2 - kappa**4)
-    tau = dot(cs.l, p) / (-4.0) / kappa**2
+    tau = torsion_from_c(kappa, constants_from_momenta(cs)[0])
     xdot = -np.outer(kappa**2 / p2, p) - (w / pn)[:, None] * E
     x = x0 + cumulative_simpson(xdot, step)
 
@@ -188,26 +188,36 @@ def reconstruct_line(x0, tangent, step, count, t0=0.0):
     )
 
 
+def reduce_jet(j0, cs):
+    """Reduce an arclength jet with conserved set cs to the curvature problem.
+
+    Returns (branch, kappa0, kappa_dot0, c).  The torsion constant c is
+    -<l,p>/4 on the generic branch and exactly 0 on the planar one, where the
+    momenta give it only to roundoff; the line branch has no curvature
+    dynamics and returns kappa_dot0 = c = 0.
+    """
+    kappa0 = norm(j0.xddot)
+    branch = classify_case(cs, kappa0, 0.0 if kappa0 <= KAPPA_MIN else cs.c / kappa0**2)
+    if branch is Branch.DEGENERATE_LINE:
+        return branch, kappa0, 0.0, 0.0
+    kappa_dot0 = dot(j0.xddot, j0.xdddot) / kappa0
+    c = constants_from_momenta(cs)[0] if branch is Branch.GENERIC else 0.0
+    return branch, kappa0, kappa_dot0, c
+
+
 def reduce_and_reconstruct(j0, step, count):
     """Full scalar-reduction pipeline from an arclength initial jet.
 
-    Extracts the conserved set, integrates the curvature equation with the
+    Reduces the jet (reduce_jet), integrates the curvature equation with the
     matching torsion constant, and rebuilds x(s) on the branch the invariants
     select.  The result is grid-compatible with direct integration of the
     fourth-order dynamics from the same jet.
     """
     cs = conserved_momenta(j0)
-    kappa0 = norm(j0.xddot)
-    branch = classify_case(
-        cs, kappa0, 0.0 if kappa0 <= KAPPA_MIN else cs.c / kappa0**2
-    )
+    branch, kappa0, kappa_dot0, c = reduce_jet(j0, cs)
     if branch is Branch.DEGENERATE_LINE:
         return reconstruct_line(j0.x, j0.xdot, step, count, t0=j0.t), branch
 
-    kappa_dot0 = dot(j0.xddot, j0.xdddot) / kappa0
-    c, _ = constants_from_momenta(cs)
-    if branch is Branch.PLANAR:
-        c = 0.0
     _, kappa, kappa_dot = integrate_scalar(kappa0, kappa_dot0, c, step, count)
 
     if branch is Branch.GENERIC:

@@ -1,50 +1,33 @@
-"""Reduced scalar dynamics of curvature and torsion, and their first integrals.
+"""Reduced scalar dynamics of curvature: the integration of the curvature
+equation, free or length-constrained.
 
-With c = kappa^2 tau (constant along solutions), curvature obeys
+With c = kappa^2 tau (constant along solutions), the free elastica is the
+lambda = 0, j = -4c case of closed.constrained_scalar_rhs,
 
     kappa_ddot = -kappa^3/2 + c^2/kappa^3,
 
-and  kappa_dot^2 + kappa^4/4 + c^2/kappa^2  is conserved.  For c = 0 the
-planar branch integrates the signed-curvature equation straight through
-kappa = 0; for c != 0 the first integral forbids kappa -> 0, so reaching
-the curvature floor signals integrator failure.
+and of closed.foltinek_invariant, whose free form states that
+kappa_dot^2 + kappa^4/4 + c^2/kappa^2 = |p|^2/4.  For c = 0 the planar
+branch integrates the signed-curvature equation straight through kappa = 0;
+for c != 0 the first integral forbids kappa -> 0, so reaching the curvature
+floor signals integrator failure.
 """
 
 import numpy as np
 
 from . import ode
+from .closed import SingularTorsionError, constrained_scalar_rhs
 from .frenet import KAPPA_MIN
 
 
-class SingularTorsionError(ValueError):
-    """kappa at or below the floor with nonzero torsion constant c."""
-
-
 def torsion_from_c(kappa, c):
-    """tau = c / kappa^2 (0 when c = 0, even at kappa = 0)."""
+    """tau = c / kappa^2, broadcast over kappa (0 when c = 0, even at kappa = 0)."""
+    kappa = np.asarray(kappa, dtype=float)
     if c == 0.0:
-        return 0.0
-    if abs(kappa) <= KAPPA_MIN:
-        raise SingularTorsionError(f"kappa = {kappa} with c = {c}: torsion singular")
+        return np.zeros_like(kappa)
+    if np.any(np.abs(kappa) <= KAPPA_MIN):
+        raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with c = {c}: torsion singular")
     return c / kappa**2
-
-
-def scalar_rhs(kappa, kappa_dot, c):
-    """First-order form of the curvature equation: returns (kappa_dot, kappa_ddot)."""
-    if c == 0.0:
-        return kappa_dot, -0.5 * kappa**3
-    if abs(kappa) <= KAPPA_MIN:
-        raise SingularTorsionError(f"kappa = {kappa} with c = {c}: rhs singular")
-    return kappa_dot, -0.5 * kappa**3 + c**2 / kappa**3
-
-
-def first_integral(kappa, kappa_dot, c):
-    """kappa_dot^2 + kappa^4/4 + c^2/kappa^2, constant along solutions."""
-    if c == 0.0:
-        return kappa_dot**2 + 0.25 * kappa**4
-    if abs(kappa) <= KAPPA_MIN:
-        raise SingularTorsionError(f"kappa = {kappa} with c = {c}: integral singular")
-    return kappa_dot**2 + 0.25 * kappa**4 + c**2 / kappa**2
 
 
 def constants_from_momenta(cs):
@@ -52,12 +35,14 @@ def constants_from_momenta(cs):
     return -0.25 * float(np.dot(cs.l, cs.p)), 0.25 * float(np.dot(cs.p, cs.p))
 
 
-def integrate_scalar(kappa0, kappa_dot0, c, step, count):
-    """RK4 on (kappa, kappa_dot); returns (s, kappa, kappa_dot) arrays."""
+def integrate_scalar(kappa0, kappa_dot0, c, step, count, lam=0.0):
+    """RK4 on (kappa, kappa_dot) under the curvature equation with torsion
+    constant c and multiplier lam (0 for the free elastica); returns
+    (s, kappa, kappa_dot) arrays."""
+    j = -4.0 * c
 
     def rhs(t, y):
-        kd, kdd = scalar_rhs(y[0], y[1], c)
-        return np.array([kd, kdd])
+        return np.array(constrained_scalar_rhs(y[0], y[1], lam, j))
 
     ts, ys = ode.integrate(rhs, np.array([kappa0, kappa_dot0]), step, count)
     return ts, ys[:, 0], ys[:, 1]

@@ -7,8 +7,17 @@ from elastica_lab.geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetSt
 STEP = 1e-3
 
 
-def frame_jet(kappa, kappa_dot, tau, x0=(0.0, 0.0, 0.0)):
-    T, N, B = STANDARD_FRAME
+def rotation(a, b, c):
+    """Rows (T, N, B) of the proper rotation Rz(a) Ry(b) Rx(c)."""
+    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
+    rz = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
+    rx = np.array([[1, 0, 0], [0, cc, -sc], [0, sc, cc]])
+    return (rz @ ry @ rx).T
+
+
+def frame_jet(kappa, kappa_dot, tau, x0=(0.0, 0.0, 0.0), frame=STANDARD_FRAME):
+    T, N, B = frame
     f = FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau)
     return frenet.jet_from_frame(np.asarray(x0, dtype=float), f, kappa_dot)
 

@@ -5,6 +5,8 @@ import pytest
 
 from elastica_lab import cli
 
+from conftest import rotation
+
 FRAME_CFG = {"kappa0": 1.0, "kappa_dot0": 0.3, "tau0": 0.2, "x0": [0.0, 0.0, 0.0], "frame": "standard"}
 LINE_CFG = {
     "x0": [0.0, 0.0, 0.0],
@@ -279,3 +281,22 @@ def test_closed_at_zero_curvature(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data[0, 1] == 0.0
     assert np.max(np.abs(data[:, 3])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kappa0, kappa_dot0, length",
+    [(1e-3, -1.0, 0.01), (1.0, 0.3, 2.0)],
+)
+def test_reduce_planar_curve_in_rotated_frame(tmp_path, kappa0, kappa_dot0, length):
+    # reduce takes the planar branch's c = 0, as reconstruct does, rather
+    # than the roundoff c of the momenta: it crosses kappa = 0 and its
+    # torsion is exactly 0.
+    frame = rotation(0.3, -1.1, 2.0).tolist()
+    cfg = write_cfg(tmp_path, {"kappa0": kappa0, "kappa_dot0": kappa_dot0, "tau0": 0.0,
+                               "x0": [0.0, 0.0, 0.0], "frame": frame})
+    grid = ["--step", "1e-3", "--length", str(length)]
+    out = tmp_path / "reduce.csv"
+    assert run(["reduce", "--config", cfg, "--out", str(out)] + grid) == 0
+    assert run(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec.csv")] + grid) == 0
+    tau = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3]
+    assert np.all(tau == 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastica_lab import frenet, lagrangian, scalar
+from elastica_lab import closed, frenet, lagrangian
 from elastica_lab.frenet import FrameUndefinedError
 from elastica_lab.geometry import STANDARD_FRAME, FrenetFrame, JetState
 from elastica_lab.lagrangian import GaugeError
@@ -150,7 +150,7 @@ def test_fourth_derivative_matches_dynamics_on_shell():
         j = frame_jet(kappa, kappa_dot, tau)
         f = frenet.frenet_frame(j)
         c = kappa**2 * tau
-        _, kappa_ddot = scalar.scalar_rhs(kappa, kappa_dot, c)
+        _, kappa_ddot = closed.constrained_scalar_rhs(kappa, kappa_dot, 0.0, -4.0 * c)
         tau_dot = -2.0 * kappa_dot * tau / kappa
         frame_x4 = frenet.fourth_derivative_frame(f, kappa_dot, kappa_ddot, tau_dot)
         np.testing.assert_allclose(

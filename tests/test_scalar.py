@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from elastica_lab import diagnostics, lagrangian, ode, scalar
+from elastica_lab import closed, diagnostics, lagrangian, ode, reconstruct, scalar
+from elastica_lab.reconstruct import Branch
 from elastica_lab.scalar import SingularTorsionError
 
-from conftest import frame_jet
+from conftest import frame_jet, rotation
 
 
 def test_torsion_from_c():
@@ -16,20 +18,23 @@ def test_torsion_from_c():
 
 
 def test_scalar_rhs_values():
-    assert scalar.scalar_rhs(1.0, 0.0, 0.0) == (0.0, pytest.approx(-0.5))
+    # The free curvature equation is the lambda = 0, j = -4c constrained one.
+    assert closed.constrained_scalar_rhs(1.0, 0.0, 0.0, 0.0) == (0.0, pytest.approx(-0.5))
     # Constant-curvature helix balance: kappa^3/2 = c^2/kappa^3.
-    _, kdd = scalar.scalar_rhs(1.0, 0.0, 1.0 / np.sqrt(2.0))
+    _, kdd = closed.constrained_scalar_rhs(1.0, 0.0, 0.0, -4.0 / np.sqrt(2.0))
     assert kdd == pytest.approx(0.0, abs=1e-15)
-    assert scalar.scalar_rhs(2.0, 1.0, 0.0) == (1.0, pytest.approx(-4.0))
+    assert closed.constrained_scalar_rhs(2.0, 1.0, 0.0, 0.0) == (1.0, pytest.approx(-4.0))
     with pytest.raises(SingularTorsionError):
-        scalar.scalar_rhs(1e-9, 0.0, 0.5)
+        closed.constrained_scalar_rhs(1e-9, 0.0, 0.0, -4.0 * 0.5)
 
 
 def test_first_integral_values():
-    assert scalar.first_integral(1.0, 0.0, 0.0) == pytest.approx(0.25)
-    assert scalar.first_integral(0.5, 0.0, 0.125) == pytest.approx(0.078125)
+    # kappa_dot^2 + kappa^4/4 + c^2/kappa^2 is a quarter of the lambda = 0,
+    # j = -4c quadrature relation's left side.
+    assert 0.25 * closed.foltinek_invariant(1.0, 0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(0.25)
+    assert 0.25 * closed.foltinek_invariant(0.5, 0.0, 0.0, 0.0, 0.0, -4.0 * 0.125) == pytest.approx(0.078125)
     with pytest.raises(SingularTorsionError):
-        scalar.first_integral(1e-9, 0.0, 0.5)
+        closed.foltinek_invariant(1e-9, 0.0, 0.0, 0.0, 0.0, -4.0 * 0.5)
 
 
 def test_first_integral_drift():
@@ -83,3 +88,27 @@ def test_nonzero_c_keeps_kappa_bounded_away_from_zero():
 def test_integrate_scalar_failure_at_floor():
     with pytest.raises(ode.IntegrationError):
         scalar.integrate_scalar(1e-9, 0.0, 0.5, 1e-3, 10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.2, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=-0.2),
+    ),
+    st.tuples(*[st.floats(min_value=-np.pi, max_value=np.pi)] * 3),
+)
+def test_reduced_arc_keeps_the_free_quadrature_relation(kappa0, kappa_dot0, tau0, angles):
+    # On either branch, in any frame, the reduced curvature satisfies the
+    # lambda = 0 quadrature relation with |c| = |p| and j = -4c.
+    jet = frame_jet(kappa0, kappa_dot0, tau0, frame=rotation(*angles))
+    cs = lagrangian.conserved_momenta(jet)
+    branch, k0, kd0, c = reconstruct.reduce_jet(jet, cs)
+    assert branch is (Branch.PLANAR if tau0 == 0.0 else Branch.GENERIC)
+    _, kappa, kappa_dot = scalar.integrate_scalar(k0, kd0, c, 1e-3, 200)
+    p_norm = np.linalg.norm(cs.p)
+    residual = closed.foltinek_invariant(kappa, kappa_dot, 0.0, 0.0, p_norm, -4.0 * c)
+    assert np.max(np.abs(residual)) <= 1e-8 * max(1.0, p_norm**2)
