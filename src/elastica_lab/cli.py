@@ -10,13 +10,16 @@ Subcommands:
     compare      sup-norm position discrepancy between two traces
 
 Exit codes: 0 success, 1 invariant violation, 2 input error, 3 numeric failure.
+Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
+as "<command> failed: <reason>".
 
 Config is JSON, either a raw jet
     {"x0": [..], "xdot0": [..], "xddot0": [..], "xdddot0": [..]}
 (auto-projected onto the arclength submanifold, with a warning if it was off)
 or frame data
     {"kappa0": r, "kappa_dot0": r, "tau0": r, "x0": [..],
-     "frame": "standard" | [[T],[N],[B]]}.
+     "frame": "standard" | [[T],[N],[B]]}
+with finite kappa0 >= 0, kappa_dot0 and tau0 (`closed` also reads "lambda").
 
 Curve traces are CSV with header
     s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau
@@ -30,9 +33,9 @@ import sys
 import numpy as np
 
 from . import diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
-from .closed import SingularTorsionError, angular_momentum_j, foltinek_invariant
+from .closed import angular_momentum_j, foltinek_invariant
 from .frenet import KAPPA_MIN, jet_from_frame
-from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState, require_uniform, vec3
+from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState, require_uniform
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -59,37 +62,39 @@ def load_config(path):
     return cfg
 
 
-def initial_jet(cfg):
-    """Build the initial arclength jet from a config dict."""
+def _frame_scalars(cfg, *extra):
+    """(kappa0, kappa_dot0, tau0, *extra) of a frame-data config as finite
+    floats; every key but kappa0 defaults to 0, and kappa0 must be >= 0."""
     try:
-        if "kappa0" in cfg:
-            kappa0 = float(cfg["kappa0"])
-            kappa_dot0 = float(cfg.get("kappa_dot0", 0.0))
-            tau0 = float(cfg.get("tau0", 0.0))
-            x0 = vec3(cfg.get("x0", [0.0, 0.0, 0.0]))
-            frame = cfg.get("frame", "standard")
-            if frame == "standard":
-                T, N, B = STANDARD_FRAME
-            else:
-                T, N, B = (vec3(row) for row in frame)
-            if kappa0 <= KAPPA_MIN:
-                return JetState(0.0, x0, T, np.zeros(3), np.zeros(3)), False
-            f = FrenetFrame(T=T, N=N, B=B, kappa=kappa0, tau=tau0)
-            return jet_from_frame(x0, f, kappa_dot0), False
-        jet = JetState(
-            0.0,
-            vec3(cfg["x0"]),
-            vec3(cfg["xdot0"]),
-            vec3(cfg["xddot0"]),
-            vec3(cfg["xdddot0"]),
-        )
+        values = [float(cfg["kappa0"])]
+        values += [float(cfg.get(key, 0.0)) for key in ("kappa_dot0", "tau0", *extra)]
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad config: {exc}") from exc
-    projected = False
-    if not jet.is_arclength():
-        jet = lagrangian.project_arclength(jet)
-        projected = True
-    return jet, projected
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"bad config: non-finite frame data {values}")
+    if values[0] < 0.0:
+        raise InputError("bad config: kappa0 must be >= 0 (flip N and B for the mirror frame)")
+    return values
+
+
+def initial_jet(cfg):
+    """Build the initial arclength jet from a config dict; returns (jet, projected)."""
+    try:
+        if "kappa0" in cfg:
+            kappa0, kappa_dot0, tau0 = _frame_scalars(cfg)
+            x0 = cfg.get("x0", [0.0, 0.0, 0.0])
+            frame = cfg.get("frame", "standard")
+            T, N, B = STANDARD_FRAME if frame == "standard" else frame
+            f = FrenetFrame(T=T, N=N, B=B, kappa=kappa0, tau=tau0)
+            if kappa0 <= KAPPA_MIN:
+                return JetState(0.0, x0, f.T, np.zeros(3), np.zeros(3)), False
+            return jet_from_frame(x0, f, kappa_dot0), False
+        jet = JetState(0.0, cfg["x0"], cfg["xdot0"], cfg["xddot0"], cfg["xdddot0"])
+        if jet.is_arclength():
+            return jet, False
+        return lagrangian.project_arclength(jet), True
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"bad config: {exc}") from exc
 
 
 def _grid(step, length):
@@ -102,15 +107,21 @@ def _grid(step, length):
 
 
 def _write_csv(path, header, columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+    """Write columns side by side at 17 significant digits; returns the row count."""
+    table = np.column_stack(columns)
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return len(table)
 
 
 def write_trace(trace, path):
+    """Write a curve trace CSV (TRACE_HEADER); returns the row count."""
     kappa, _, tau = diagnostics.curvature_arrays(trace)
-    _write_csv(path, TRACE_HEADER, (trace.params(), trace.data, kappa, tau))
+    return _write_csv(path, TRACE_HEADER, (trace.params(), trace.data, kappa, tau))
 
 
 def read_trace(path):
+    """Parse a curve trace file; the state columns are validated by
+    CurveTrace.from_array, the s, kappa and tau columns here."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != TRACE_HEADER:
@@ -123,16 +134,24 @@ def read_trace(path):
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     if data.shape[1] != 15:
         raise InputError(f"malformed row in {path}")
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data[:, [0, 13, 14]])):
         raise InputError(f"non-finite value in trace {path}")
     step = 1.0 if len(data) == 1 else data[1, 0] - data[0, 0]
-    if step <= 0.0:
-        raise InputError(f"non-increasing parameter column in {path}")
     try:
         require_uniform(data[:, 0], step)
         return CurveTrace.from_array(step, data[:, 1:13], t0=data[0, 0], metadata={"source": path})
     except ValueError as exc:
-        raise InputError(f"bad trace grid in {path}: {exc}") from exc
+        raise InputError(f"bad trace {path}: {exc}") from exc
+
+
+def _save(path, output, note=""):
+    """Write a run's CSV, from a curve trace or a (header, columns) pair, and report it."""
+    if isinstance(output, CurveTrace):
+        rows = write_trace(output, path)
+    else:
+        rows = _write_csv(path, *output)
+    print(f"wrote {rows} samples to {path}{note}")
+    return EXIT_OK
 
 
 def _start(args):
@@ -145,98 +164,53 @@ def _start(args):
 
 def cmd_simulate(args):
     jet, count = _start(args)
-    try:
-        trace = lagrangian.integrate_elastica(jet, args.step, count, method=args.method)
-    except (ode.IntegrationError, ValueError) as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_trace(trace, args.out)
-    print(f"wrote {len(trace)} samples to {args.out}")
-    return EXIT_OK
+    return _save(args.out, lagrangian.integrate_elastica(jet, args.step, count, method=args.method))
 
 
 def cmd_hamiltonian(args):
     jet, count = _start(args)
     ps0 = hamiltonian.legendre(jet)
-    try:
-        phase_trace = hamiltonian.integrate_flow(
-            ps0, args.step, count, method=args.method, project=args.project == "on"
-        )
-        trace = hamiltonian.jet_trace(phase_trace)
-    except (ode.IntegrationError, hamiltonian.NotInRangeError, ValueError) as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_trace(trace, args.out)
-    print(f"wrote {len(trace)} samples to {args.out}")
-    return EXIT_OK
+    phase_trace = hamiltonian.integrate_flow(
+        ps0, args.step, count, method=args.method, project=args.project == "on"
+    )
+    return _save(args.out, hamiltonian.jet_trace(phase_trace))
 
 
 def cmd_reconstruct(args):
     jet, count = _start(args)
-    try:
-        trace, branch = reconstruct.reduce_and_reconstruct(jet, args.step, count)
-    except (ode.IntegrationError, reconstruct.BranchError, ValueError) as exc:
-        print(f"reconstruction failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_trace(trace, args.out)
-    print(f"wrote {len(trace)} samples to {args.out} (branch: {branch.value})")
-    return EXIT_OK
+    trace, branch = reconstruct.reduce_and_reconstruct(jet, args.step, count)
+    return _save(args.out, trace, f" (branch: {branch.value})")
 
 
 def cmd_reduce(args):
     jet, count = _start(args)
     branch, kappa0, kappa_dot0, c = reconstruct.reduce_jet(jet, lagrangian.conserved_momenta(jet))
     if branch is reconstruct.Branch.DEGENERATE_LINE:
-        print("straight line: nothing to reduce", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        s, kappa, kappa_dot = scalar.integrate_scalar(kappa0, kappa_dot0, c, args.step, count)
-        tau = scalar.torsion_from_c(kappa, c)
-    except (ode.IntegrationError, SingularTorsionError) as exc:
-        print(f"scalar integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _write_csv(args.out, "s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau))
-    print(f"wrote {len(s)} samples to {args.out}")
-    return EXIT_OK
+        raise InputError("straight line: nothing to reduce")
+    s, kappa, kappa_dot = scalar.integrate_scalar(kappa0, kappa_dot0, c, args.step, count)
+    tau = scalar.torsion_from_c(kappa, c)
+    return _save(args.out, ("s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau)))
 
 
 def cmd_closed(args):
-    cfg = load_config(args.config)
-    try:
-        kappa0 = float(cfg["kappa0"])
-        kappa_dot0 = float(cfg.get("kappa_dot0", 0.0))
-        tau0 = float(cfg.get("tau0", 0.0))
-        lam = float(cfg.get("lambda", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    kappa0, kappa_dot0, tau0, lam = _frame_scalars(load_config(args.config), "lambda")
     count = _grid(args.step, args.length)
     j = angular_momentum_j(kappa0, tau0)
-    try:
-        # |c| is the left side of the quadrature relation at s = 0.
-        c_norm = float(np.sqrt(foltinek_invariant(kappa0, kappa_dot0, tau0, lam, 0.0, j)))
-        s, kappa, kappa_dot = scalar.integrate_scalar(
-            kappa0, kappa_dot0, -0.25 * j, args.step, count, lam
-        )
-        residual = foltinek_invariant(kappa, kappa_dot, 0.0, lam, c_norm, j)
-    except (ode.IntegrationError, SingularTorsionError) as exc:
-        print(f"constrained scalar integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _write_csv(args.out, "s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual))
-    print(
-        f"wrote {len(s)} samples to {args.out}; max |foltinek residual| = "
-        f"{np.max(np.abs(residual)):.3e}"
+    # |c| is the left side of the quadrature relation at s = 0.
+    c_norm = float(np.sqrt(foltinek_invariant(kappa0, kappa_dot0, tau0, lam, 0.0, j)))
+    s, kappa, kappa_dot = scalar.integrate_scalar(
+        kappa0, kappa_dot0, -0.25 * j, args.step, count, lam
     )
-    return EXIT_OK
+    residual = foltinek_invariant(kappa, kappa_dot, 0.0, lam, c_norm, j)
+    return _save(
+        args.out,
+        ("s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual)),
+        f"; max |foltinek residual| = {np.max(np.abs(residual)):.3e}",
+    )
 
 
 def cmd_invariants(args):
-    try:
-        trace = read_trace(args.trace)
-    except InputError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
-    report, ok = diagnostics.invariant_report(trace)
+    report, ok = diagnostics.invariant_report(read_trace(args.trace))
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -245,13 +219,11 @@ def cmd_invariants(args):
 
 
 def cmd_compare(args):
+    trace_a, trace_b = read_trace(args.trace_a), read_trace(args.trace_b)
     try:
-        trace_a = read_trace(args.trace_a)
-        trace_b = read_trace(args.trace_b)
         sup = diagnostics.position_discrepancy(trace_a, trace_b)
-    except (InputError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:  # the two traces are on different grids
+        raise InputError(str(exc)) from exc
     print(f"sup position discrepancy: {sup:.17g}")
     return EXIT_OK if sup <= args.tol else EXIT_VIOLATION
 
@@ -294,13 +266,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place a failure becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
+    except (InputError, ode.IntegrationError, ValueError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

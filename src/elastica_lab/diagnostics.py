@@ -33,12 +33,20 @@ def arclength_defects(trace):
     return arclength_conditions(trace.xdot, trace.xddot, trace.xdddot)
 
 
+def _momenta(trace):
+    return momenta(trace.xdot, trace.xddot, trace.xdddot)
+
+
+def _conserved(trace, p_x, p_xdot):
+    return conserved(trace.x, trace.xdot, trace.xddot, trace.xdddot, p_x, p_xdot)
+
+
 def momentum_arrays(trace):
     """Per-sample conserved quantities of an arclength trace.
 
     Returns (p, l, H, c) with shapes (N,3), (N,3), (N,), (N,).
     """
-    return conserved(trace.x, trace.xdot, trace.xddot, trace.xdddot)
+    return _conserved(trace, *_momenta(trace))
 
 
 def curvature_arrays(trace):
@@ -52,10 +60,13 @@ def curvature_arrays(trace):
     return kappa, kappa_dot, tau
 
 
+def _el_residual(p_x, step):
+    return -(p_x[2:] - p_x[:-2]) / (2.0 * step)
+
+
 def el_residual_array(trace):
     """Central-difference Euler-Lagrange residual at indices 1..N-2, (N-2, 3)."""
-    p_x, _ = momenta(trace.xdot, trace.xddot, trace.xdddot)
-    return -(p_x[2:] - p_x[:-2]) / (2.0 * trace.step)
+    return _el_residual(_momenta(trace)[0], trace.step)
 
 
 def relative_drift(values):
@@ -76,6 +87,14 @@ def floored_first_integral(kappa, kappa_dot, c):
     return kappa_dot**2 + 0.25 * kappa**4 + c**2 / np.maximum(kappa, KAPPA_MIN) ** 2
 
 
+def _scalar_identities(xdot, p, l, c, kappa, kappa_dot):
+    lp = dot(l, p)
+    scalar4 = c + 0.25 * lp
+    scalar5 = 4.0 * floored_first_integral(kappa, kappa_dot, -0.25 * lp) - dot(p, p)
+    xdot_p = dot(xdot, p) + kappa**2
+    return scalar4, scalar5, xdot_p
+
+
 def scalar_identity_residuals(trace):
     """Pointwise residuals of the reduced-scalar identities, per sample:
 
@@ -85,11 +104,12 @@ def scalar_identity_residuals(trace):
     """
     p, l, _, c = momentum_arrays(trace)
     kappa, kappa_dot, _ = curvature_arrays(trace)
-    lp = dot(l, p)
-    scalar4 = c + 0.25 * lp
-    scalar5 = 4.0 * floored_first_integral(kappa, kappa_dot, -0.25 * lp) - dot(p, p)
-    xdot_p = dot(trace.xdot, p) + kappa**2
-    return scalar4, scalar5, xdot_p
+    return _scalar_identities(trace.xdot, p, l, c, kappa, kappa_dot)
+
+
+def _charges(t, H, p_xdot, xdot):
+    pv = dot(p_xdot, xdot)
+    return np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
 
 
 def reparametrization_charges(trace):
@@ -100,11 +120,9 @@ def reparametrization_charges(trace):
     generator does not scale up roundoff in H; for e^t this leaves
     -(H + <p_xdot, xdot>)/2 at every t.
     """
-    _, _, H, _ = momentum_arrays(trace)
-    _, p_xdot = momenta(trace.xdot, trace.xddot, trace.xdddot)
-    pv = dot(p_xdot, trace.xdot)
-    t = trace.params()
-    return np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
+    p_x, p_xdot = _momenta(trace)
+    H = _conserved(trace, p_x, p_xdot)[2]
+    return _charges(trace.params(), H, p_xdot, trace.xdot)
 
 
 def position_discrepancy(trace_a, trace_b):
@@ -128,16 +146,18 @@ def phase_constraint_arrays(trace):
 def invariant_report(trace):
     """Summary residuals of a jet trace, against TOLERANCES.
 
-    Returns (report dict, ok flag).
+    Evaluates the momenta, the conserved set and the curvature arrays once
+    each.  Returns (report dict, ok flag).
     """
-    p, l, H, c = momentum_arrays(trace)
-    defects = arclength_defects(trace)
-    scalar4, scalar5, xdot_p = scalar_identity_residuals(trace)
+    p_x, p_xdot = _momenta(trace)
+    p, l, H, c = _conserved(trace, p_x, p_xdot)
     kappa, kappa_dot, _ = curvature_arrays(trace)
+    defects = arclength_defects(trace)
+    scalar4, scalar5, xdot_p = _scalar_identities(trace.xdot, p, l, c, kappa, kappa_dot)
     c0 = -0.25 * float(np.dot(l[0], p[0]))
     level = 0.25 * float(np.dot(p[0], p[0]))
     fi = floored_first_integral(kappa, kappa_dot, c0)
-    charges = reparametrization_charges(trace)
+    charges = _charges(trace.params(), H, p_xdot, trace.xdot)
 
     measured = {
         "arclength": float(np.max(np.abs(defects))),
@@ -153,7 +173,7 @@ def invariant_report(trace):
     }
     if len(trace) >= 5:
         measured["el_residual"] = float(
-            np.max(np.linalg.norm(el_residual_array(trace), axis=1))
+            np.max(np.linalg.norm(_el_residual(p_x, trace.step), axis=1))
         )
     report = {
         "samples": len(trace),

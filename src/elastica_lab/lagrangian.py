@@ -77,15 +77,15 @@ def momenta(xdot, xddot, xdddot):
     return p_x, p_xdot
 
 
-def conserved(x, xdot, xddot, xdddot):
-    """Conserved quantities (p, l, H, c) of arclength jets, over (..., 3) arrays.
+def conserved(x, xdot, xddot, xdddot, p_x, p_xdot):
+    """Conserved quantities (p, l, H, c) of arclength jets with momenta
+    (p_x, p_xdot) = momenta(xdot, xddot, xdddot), over (..., 3) arrays.
 
     p = -2 xdddot - 3 |xddot|^2 xdot,  l = x cross p + 2 xdot cross xddot,
     H = <p_x, xdot> + <p_xdot, xddot> - L (zero on every solution, in any
     parametrization), and c = kappa^2 tau = <xdot cross xddot, xdddot> (the
     kappa^-2 in tau cancels, so c needs no curvature floor).
     """
-    p_x, p_xdot = momenta(xdot, xddot, xdddot)
     H = dot(p_x, xdot) + dot(p_xdot, xddot) - density(xdot, xddot)
     p = -2.0 * xdddot - 3.0 * dot(xddot, xddot)[..., None] * xdot
     l = cross(x, p) + 2.0 * cross(xdot, xddot)
@@ -107,8 +107,7 @@ def ostrogradski_momenta(j):
 
 def energy(j):
     """H = <p_x, xdot> + <p_xdot, xddot> - L at one jet; zero on every solution."""
-    _speed(j)
-    return float(conserved(j.x, j.xdot, j.xddot, j.xdddot)[2])
+    return float(conserved(j.x, j.xdot, j.xddot, j.xdddot, *ostrogradski_momenta(j))[2])
 
 
 def el_rhs_arclength(j):
@@ -138,7 +137,7 @@ def el_residual(trace, index):
 def conserved_momenta(j):
     """All conserved quantities of one arclength jet, as a ConservedSet."""
     _require_arclength(j)
-    p, l, H, c = conserved(j.x, j.xdot, j.xddot, j.xdddot)
+    p, l, H, c = conserved(j.x, j.xdot, j.xddot, j.xdddot, *momenta(j.xdot, j.xddot, j.xdddot))
     return ConservedSet(p=p, l=l, H=H, c=c)
 
 

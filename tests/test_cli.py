@@ -300,3 +300,52 @@ def test_reduce_planar_curve_in_rotated_frame(tmp_path, kappa0, kappa_dot0, leng
     assert run(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec.csv")] + grid) == 0
     tau = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3]
     assert np.all(tau == 0.0)
+
+
+RUN_COMMANDS = ("simulate", "hamiltonian", "reconstruct", "reduce", "closed")
+JET_COMMANDS = RUN_COMMANDS[:4]
+NAN, INF = float("nan"), float("inf")
+# Initial data that must exit 2, with the commands that read it: frame data
+# gets one parse (kappa0 >= 0, every scalar finite, the frame checked even on
+# a straight line), and a raw jet with xdot0 = 0 has no arclength projection.
+BAD_INITIAL_DATA = {
+    "xdot0 = 0": (
+        {"x0": [0, 0, 0], "xdot0": [0, 0, 0], "xddot0": [0, 1, 0], "xdddot0": [0, 0, 0]},
+        RUN_COMMANDS,
+    ),
+    "kappa0 < 0": (dict(FRAME_CFG, kappa0=-1.0), RUN_COMMANDS),
+    "kappa0 nan": (dict(FRAME_CFG, kappa0=NAN), RUN_COMMANDS),
+    "kappa_dot0 nan": (dict(FRAME_CFG, kappa_dot0=NAN), RUN_COMMANDS),
+    "kappa_dot0 inf on a line": (dict(FRAME_CFG, kappa0=0.0, kappa_dot0=INF), RUN_COMMANDS),
+    "tau0 -inf": (dict(FRAME_CFG, tau0=-INF), RUN_COMMANDS),
+    "lambda nan": (dict(FRAME_CFG, **{"lambda": NAN}), ("closed",)),
+    "long T on a line": (dict(FRAME_CFG, kappa0=0.0, frame=[[2, 0, 0], [0, 1, 0], [0, 0, 1]]), JET_COMMANDS),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command", [(case, c) for case, (_, commands) in BAD_INITIAL_DATA.items() for c in commands]
+)
+def test_bad_initial_data_exits_2(tmp_path, capsys, case, command):
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, BAD_INITIAL_DATA[case][0])
+    assert run([command, "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith(f"{command} failed: bad config: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, col, value", [(3, 0, "nan"), (4, 13, "inf"), (2, 0, "0.0")])
+def test_corrupt_trace_columns_exit_2(tmp_path, capsys, row, col, value):
+    # s and the derived kappa, tau columns are checked by read_trace, the
+    # state columns by CurveTrace itself; a non-uniform s column is a bad grid.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = tmp_path / "trace.csv"
+    assert run(["simulate", "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 0
+    lines = out.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("invariants failed: ")
