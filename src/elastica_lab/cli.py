@@ -144,12 +144,8 @@ def read_trace(path):
         raise InputError(f"bad trace {path}: {exc}") from exc
 
 
-def _save(path, output, note=""):
-    """Write a run's CSV, from a curve trace or a (header, columns) pair, and report it."""
-    if isinstance(output, CurveTrace):
-        rows = write_trace(output, path)
-    else:
-        rows = _write_csv(path, *output)
+def _wrote(path, rows, note=""):
+    """Report a run's written CSV."""
     print(f"wrote {rows} samples to {path}{note}")
     return EXIT_OK
 
@@ -164,7 +160,8 @@ def _start(args):
 
 def cmd_simulate(args):
     jet, count = _start(args)
-    return _save(args.out, lagrangian.integrate_elastica(jet, args.step, count, method=args.method))
+    trace = lagrangian.integrate_elastica(jet, args.step, count, method=args.method)
+    return _wrote(args.out, write_trace(trace, args.out))
 
 
 def cmd_hamiltonian(args):
@@ -173,13 +170,13 @@ def cmd_hamiltonian(args):
     phase_trace = hamiltonian.integrate_flow(
         ps0, args.step, count, method=args.method, project=args.project == "on"
     )
-    return _save(args.out, hamiltonian.jet_trace(phase_trace))
+    return _wrote(args.out, write_trace(hamiltonian.jet_trace(phase_trace), args.out))
 
 
 def cmd_reconstruct(args):
     jet, count = _start(args)
     trace, branch = reconstruct.reduce_and_reconstruct(jet, args.step, count)
-    return _save(args.out, trace, f" (branch: {branch.value})")
+    return _wrote(args.out, write_trace(trace, args.out), f" (branch: {branch.value})")
 
 
 def cmd_reduce(args):
@@ -189,7 +186,7 @@ def cmd_reduce(args):
         raise InputError("straight line: nothing to reduce")
     s, kappa, kappa_dot = scalar.integrate_scalar(kappa0, kappa_dot0, c, args.step, count)
     tau = scalar.torsion_from_c(kappa, c)
-    return _save(args.out, ("s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau)))
+    return _wrote(args.out, _write_csv(args.out, "s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau)))
 
 
 def cmd_closed(args):
@@ -202,11 +199,8 @@ def cmd_closed(args):
         kappa0, kappa_dot0, -0.25 * j, args.step, count, lam
     )
     residual = foltinek_invariant(kappa, kappa_dot, 0.0, lam, c_norm, j)
-    return _save(
-        args.out,
-        ("s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual)),
-        f"; max |foltinek residual| = {np.max(np.abs(residual)):.3e}",
-    )
+    rows = _write_csv(args.out, "s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual))
+    return _wrote(args.out, rows, f"; max |foltinek residual| = {np.max(np.abs(residual)):.3e}")
 
 
 def cmd_invariants(args):

@@ -107,22 +107,17 @@ def scalar_identity_residuals(trace):
     return _scalar_identities(trace.xdot, p, l, c, kappa, kappa_dot)
 
 
-def _charges(t, H, p_xdot, xdot):
-    pv = dot(p_xdot, xdot)
-    return np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
-
-
-def reparametrization_charges(trace):
+def reparametrization_charges(t, H, p_xdot, xdot):
     """Values of the reparametrization charge -tau H - tau_dot <p_xdot, xdot>
-    for tau(t) in {1, t, e^t}; (N, 3) array, one column per generator.
+    for tau(t) in {1, t, e^t}, from per-sample parameters, Hamiltonian and
+    momenta; (N, 3) array, one column per generator.
 
     Each column is divided by |tau| + |tau_dot|, so that the size of the
     generator does not scale up roundoff in H; for e^t this leaves
     -(H + <p_xdot, xdot>)/2 at every t.
     """
-    p_x, p_xdot = _momenta(trace)
-    H = _conserved(trace, p_x, p_xdot)[2]
-    return _charges(trace.params(), H, p_xdot, trace.xdot)
+    pv = dot(p_xdot, xdot)
+    return np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
 
 
 def position_discrepancy(trace_a, trace_b):
@@ -157,7 +152,7 @@ def invariant_report(trace):
     c0 = -0.25 * float(np.dot(l[0], p[0]))
     level = 0.25 * float(np.dot(p[0], p[0]))
     fi = floored_first_integral(kappa, kappa_dot, c0)
-    charges = _charges(trace.params(), H, p_xdot, trace.xdot)
+    charges = reparametrization_charges(trace.params(), H, p_xdot, trace.xdot)
 
     measured = {
         "arclength": float(np.max(np.abs(defects))),
