@@ -9,7 +9,6 @@ from .geometry import (
     FrenetFrame,
     JetState,
     PhaseState,
-    split_parallel,
     vec3,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "FrenetFrame",
     "JetState",
     "PhaseState",
-    "split_parallel",
     "vec3",
 ]
 

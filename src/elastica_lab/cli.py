@@ -9,7 +9,8 @@ Subcommands:
     invariants   audit a stored trace, write a JSON residual report
     compare      sup-norm position discrepancy between two traces
 
-Exit codes: 0 success, 1 invariant violation, 2 input error, 3 numeric failure.
+Exit codes: 0 success, 1 invariant violation, 2 input error (an unwritable
+--out or --report included), 3 numeric failure.
 Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
 as "<command> failed: <reason>".
 
@@ -264,9 +265,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ode.IntegrationError, ValueError) as exc:
+    except (InputError, OSError, ode.IntegrationError, ValueError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_NUMERIC
+        return EXIT_INPUT if isinstance(exc, (InputError, OSError)) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

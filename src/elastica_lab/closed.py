@@ -1,6 +1,6 @@
-"""Length-constrained elastica: the reduced first-order problem with
-multiplier lambda, its frame-form Euler-Lagrange equation, and the relation
-tying the integration constants to the free-elastica momenta.
+"""Length-constrained elastica: the curvature dynamics with multiplier lambda
+and the quadrature relation tying its integration constants to the
+free-elastica momenta.
 
 Integrating the second-order equations once (the density has no explicit x
 dependence) leaves a first-order problem in q = xdot with Lagrangian
@@ -24,39 +24,10 @@ constrained_scalar_rhs and foltinek_invariant.
 import numpy as np
 
 from .frenet import KAPPA_MIN
-from .geometry import dot, norm, vec3
-from .lagrangian import DomainError
 
 
 class SingularTorsionError(ValueError):
     """kappa at or below the floor with j != 0, where tau = -j/(4 kappa^2) is singular."""
-
-
-def reduced_lagrangian(q, qdot, lam, c):
-    """|q x qdot|^2/|q|^5 + lambda |q| - <c, q>."""
-    q = vec3(q)
-    qdot = vec3(qdot)
-    c = vec3(c)
-    nq = norm(q)
-    if nq == 0.0:
-        raise DomainError("q = 0: reduced Lagrangian undefined")
-    w = np.cross(q, qdot)
-    return dot(w, w) / nq**5 + lam * nq - dot(c, q)
-
-
-def closed_el_residual(f, kappa_dot, lam, c):
-    """(lambda - kappa^2) T - 2 kappa_dot N - 2 kappa tau B - c.
-
-    Zero along constrained solutions; at lambda = 0 the constant c is the
-    free-elastica linear momentum p.
-    """
-    c = vec3(c)
-    return (
-        (lam - f.kappa**2) * f.T
-        - 2.0 * kappa_dot * f.N
-        - 2.0 * f.kappa * f.tau * f.B
-        - c
-    )
 
 
 def foltinek_invariant(kappa, kappa_prime, tau, lam, c_norm, j):

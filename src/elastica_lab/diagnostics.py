@@ -10,7 +10,7 @@ import numpy as np
 from .frenet import KAPPA_MIN
 from .geometry import arclength_conditions, dot
 from .hamiltonian import constraints
-from .lagrangian import conserved, momenta
+from .lagrangian import central_el_residual, conserved, momenta
 
 # The acceptance values for a standard run, per invariant_report residual.
 TOLERANCES = {
@@ -60,13 +60,9 @@ def curvature_arrays(trace):
     return kappa, kappa_dot, tau
 
 
-def _el_residual(p_x, step):
-    return -(p_x[2:] - p_x[:-2]) / (2.0 * step)
-
-
 def el_residual_array(trace):
     """Central-difference Euler-Lagrange residual at indices 1..N-2, (N-2, 3)."""
-    return _el_residual(_momenta(trace)[0], trace.step)
+    return central_el_residual(_momenta(trace)[0], trace.step)
 
 
 def relative_drift(values):
@@ -167,9 +163,8 @@ def invariant_report(trace):
         "repar_charge": float(np.max(np.abs(charges))),
     }
     if len(trace) >= 5:
-        measured["el_residual"] = float(
-            np.max(np.linalg.norm(_el_residual(p_x, trace.step), axis=1))
-        )
+        el = central_el_residual(p_x, trace.step)
+        measured["el_residual"] = float(np.max(np.linalg.norm(el, axis=1)))
     report = {
         "samples": len(trace),
         "step": trace.step,

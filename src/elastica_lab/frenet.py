@@ -12,7 +12,7 @@ class FrameUndefinedError(ValueError):
     """Curvature at or below KAPPA_MIN: no Frenet frame exists here."""
 
 
-def frenet_frame(j, kappa_min=KAPPA_MIN):
+def frenet_frame(j):
     """Extract (T, N, B, kappa, tau) from an arclength jet.
 
     T = xdot, N = xddot/kappa, B = T x N, kappa = |xddot|, and
@@ -21,10 +21,8 @@ def frenet_frame(j, kappa_min=KAPPA_MIN):
     if not j.is_arclength(tol=ARCLENGTH_TOL):
         raise GaugeError("frenet_frame needs an arclength jet")
     kappa = norm(j.xddot)
-    if kappa <= kappa_min:
-        raise FrameUndefinedError(
-            f"kappa = {kappa} <= {kappa_min}: use the straight-line branch"
-        )
+    if kappa <= KAPPA_MIN:
+        raise FrameUndefinedError(f"kappa = {kappa} <= {KAPPA_MIN}: use the straight-line branch")
     T = j.xdot / norm(j.xdot)
     N = j.xddot / kappa
     B = cross(T, N)

@@ -44,20 +44,6 @@ def norm(v):
     return float(np.linalg.norm(v))
 
 
-def split_parallel(v, direction):
-    """Split v into components parallel and perpendicular to direction.
-
-    Returns (parallel, perpendicular) with parallel + perpendicular == v.
-    """
-    v = vec3(v)
-    d = vec3(direction)
-    d2 = dot(d, d)
-    if d2 == 0.0:
-        raise DegenerateInputError("cannot split along a zero direction")
-    parallel = (dot(v, d) / d2) * d
-    return parallel, v - parallel
-
-
 def arclength_conditions(xdot, xddot, xdddot):
     """Residuals of the three arclength submanifold conditions, stacked on a
     last axis of length 3; broadcasts over (..., 3) inputs:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .geometry import CurveTrace, JetState, PhaseState, cross, dot, norm, vec3
+from .geometry import CurveTrace, JetState, PhaseState, dot, norm
 from .lagrangian import DomainError, ostrogradski_momenta
 
 # Residual size beyond which a phase point is treated as genuinely off the
@@ -60,39 +60,20 @@ def _require_in_range(residuals):
         )
 
 
-def fiber(xdot, p_x, p_xdot, xddot_par, xdddot_par):
+def arclength_fiber(xdot, p_x, p_xdot):
     """(xddot, xdddot) in the fiber of the Legendre transform over constraint
-    points, over (..., 3) arrays.  The perpendicular parts are pinned:
+    points, in the arclength gauge, over (..., 3) arrays:
 
-        xddot_perp  = |xdot|^3 p_xdot / 2,
-        xdddot_perp = (-|xdot|^3 p_x_perp + 3 |xdot| <xdot, xddot_par> p_xdot)/2;
+        xddot  = |xdot|^3 p_xdot / 2,
+        xdddot = -|xdot|^3 p_x_perp / 2 - |xddot|^2 xdot / |xdot|^2.
 
-    the parallel parts are the gauge freedom and must be parallel to xdot.
+    Adding 0.0 turns each -0.0 into 0.0, so a written trace has no -0 cell.
     """
     v = np.sqrt(dot(xdot, xdot))[..., None]
     p_x_perp = p_x - (dot(p_x, xdot)[..., None] / v**2) * xdot
-    xdddot_perp = 0.5 * (-(v**3) * p_x_perp + 3.0 * v * dot(xdot, xddot_par)[..., None] * p_xdot)
-    return 0.5 * v**3 * p_xdot + xddot_par, xdddot_perp + xdddot_par
-
-
-def arclength_fiber(xdot, p_x, p_xdot):
-    """The fiber in the arclength gauge, xddot_par = 0 and
-    xdddot_par = -|xddot|^2 xdot / |xdot|^2, over (..., 3) arrays."""
-    zero = np.zeros_like(xdot)
-    xddot, xdddot_perp = fiber(xdot, p_x, p_xdot, zero, zero)
+    xddot = 0.5 * v**3 * p_xdot + 0.0
+    xdddot_perp = 0.5 * (-(v**3) * p_x_perp) + 0.0
     return xddot, xdddot_perp - (dot(xddot, xddot) / dot(xdot, xdot))[..., None] * xdot
-
-
-def legendre_fiber(ps, xddot_par, xdddot_par):
-    """The jet in the fiber over one constraint point with the given parallel parts."""
-    _require_in_range(constraint_residuals(ps))
-    xddot_par = vec3(xddot_par)
-    xdddot_par = vec3(xdddot_par)
-    v = norm(ps.xdot)
-    for name, w in (("xddot_par", xddot_par), ("xdddot_par", xdddot_par)):
-        if norm(cross(w, ps.xdot)) > 1e-10 * max(1.0, norm(w)) * v:
-            raise ValueError(f"{name} must be parallel to xdot")
-    return JetState(ps.t, ps.x, ps.xdot, *fiber(ps.xdot, ps.p_x, ps.p_xdot, xddot_par, xdddot_par))
 
 
 def arclength_jet_from_phase(ps):
@@ -118,39 +99,23 @@ class PhaseDerivative:
     dp_xdot: np.ndarray
 
 
+def _require_flow_point(ps):
+    """Raise NotInRangeError unless ps is on the constraint manifold with
+    |xdot| = 1, where the arclength-normalized flow is defined."""
+    _require_in_range(constraint_residuals(ps))
+    if abs(norm(ps.xdot) - 1.0) > OFF_MANIFOLD_TOL:
+        raise NotInRangeError(f"flow needs arclength normalization, |xdot| = {norm(ps.xdot)}")
+
+
 def ham_rhs(ps):
     """Arclength-normalized constrained flow at an on-manifold phase point.
 
     The flow assumes |xdot| = 1 (preserved exactly, since dxdot is
     proportional to p_xdot, which is transverse to xdot on the manifold).
     """
-    _require_in_range(constraint_residuals(ps))
-    if abs(norm(ps.xdot) - 1.0) > OFF_MANIFOLD_TOL:
-        raise NotInRangeError(f"flow needs arclength normalization, |xdot| = {norm(ps.xdot)}")
+    _require_flow_point(ps)
     d = _flat_rhs(ps.t, ps.to_array())
     return PhaseDerivative(dt=1.0, dx=d[0:3], dxdot=d[3:6], dp_x=d[6:9], dp_xdot=d[9:12])
-
-
-def ham_rhs_general(ps):
-    """The constraint-function flow field at arbitrary speed (not a default
-    integrator path; used to check reparametrization invariance):
-
-    dx = xdot/|xdot|,  dxdot = |xdot|^2 p_xdot / 2,  dp_x = 0,  dt = 0,
-    dp_xdot = -p_x/|xdot| + (-<p_xdot,p_xdot>/2 + <p_x,xdot>/|xdot|^3) xdot.
-
-    On the constraint manifold |xdot| is constant along its integral curves
-    and x(s) traverses the same curve at unit rate for every speed.
-    """
-    _require_in_range(constraint_residuals(ps))
-    v = norm(ps.xdot)
-    return PhaseDerivative(
-        dt=0.0,
-        dx=ps.xdot / v,
-        dxdot=0.5 * v * v * ps.p_xdot,
-        dp_x=np.zeros(3),
-        dp_xdot=-ps.p_x / v
-        + (-0.5 * dot(ps.p_xdot, ps.p_xdot) + dot(ps.p_x, ps.xdot) / v**3) * ps.xdot,
-    )
 
 
 def diff_momentum(ps, tau, tau_dot):
@@ -159,14 +124,6 @@ def diff_momentum(ps, tau, tau_dot):
     Identically zero on the constraint manifold, for every generator.
     """
     return tau * ps.p_t - tau_dot * dot(ps.p_xdot, ps.xdot)
-
-
-def spherical_radial_momentum(ps):
-    """Radial momentum <p_xdot, xdot>/|xdot| of the spherical chart on xdot."""
-    v = norm(ps.xdot)
-    if v == 0.0:
-        raise DomainError("xdot = 0: spherical chart undefined")
-    return dot(ps.p_xdot, ps.xdot) / v
 
 
 def separable_invariant(ps):
@@ -209,9 +166,7 @@ def integrate_flow(ps0, step, count, method="rk4", project=False):
     the default measures true drift.  Returns a phase CurveTrace, whose
     p_t is 0 (the flow keeps p_t constant and the manifold has p_t = 0).
     """
-    _require_in_range(constraint_residuals(ps0))
-    if abs(norm(ps0.xdot) - 1.0) > OFF_MANIFOLD_TOL:
-        raise NotInRangeError("flow needs arclength normalization of the initial point")
+    _require_flow_point(ps0)
     integrator = ode.integrate if method == "rk4" else ode.integrate_rk45
     hook = project_constraints if project else None
     _, ys = integrator(_flat_rhs, ps0.to_array(), step, count, t0=ps0.t, project=hook)

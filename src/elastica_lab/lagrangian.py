@@ -119,19 +119,24 @@ def el_rhs_arclength(j):
     return _flat_rhs(j.t, j.to_array())[9:12]
 
 
-def el_residual(trace, index):
-    """Finite-difference Euler-Lagrange residual at an interior sample.
+def central_el_residual(p_x, step):
+    """Euler-Lagrange residual at rows 1..N-2 of momenta p_x sampled every
+    `step`, (N-2, 3).
 
     The density has no explicit x dependence, so the residual collapses to
-    -(d/dt) p_x, evaluated with a second-order central difference of the
-    analytic momentum along the trace.
+    -(d/dt) p_x, evaluated with a second-order central difference.
     """
+    return -(p_x[2:] - p_x[:-2]) / (2.0 * step)
+
+
+def el_residual(trace, index):
+    """The central-difference Euler-Lagrange residual at an interior sample."""
     n = len(trace)
     if index < 2 or index > n - 3:
         raise IndexError(f"index {index} leaves no room for a centered stencil")
-    rows = slice(index - 1, index + 2, 2)
+    rows = slice(index - 1, index + 2)
     p_x, _ = momenta(trace.xdot[rows], trace.xddot[rows], trace.xdddot[rows])
-    return -(p_x[1] - p_x[0]) / (2.0 * trace.step)
+    return central_el_residual(p_x, trace.step)[0]
 
 
 def conserved_momenta(j):

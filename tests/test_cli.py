@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +352,30 @@ def test_corrupt_trace_columns_exit_2(tmp_path, capsys, row, col, value):
     capsys.readouterr()
     assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("invariants failed: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "invariants"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    trace = str(tmp_path / "trace.csv")
+    assert run(["simulate", "--config", cfg, "--out", trace, "--step", "1e-2", "--length", "0.1"]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "simulate": ["simulate", "--config", cfg, "--out", missing, "--step", "1e-2", "--length", "0.1"],
+        "invariants": ["invariants", "--trace", trace, "--report", missing],
+    }[command]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"{command} failed: ")
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/spans.py wraps these functions by name; a deleted or renamed
+    # one would make every traced benchmark run fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.TRACED:
+        module, _, attr = name.partition(".")
+        assert callable(getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), attr, None)), name

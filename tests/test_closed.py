@@ -1,66 +1,10 @@
 import numpy as np
 import pytest
 
-from elastica_lab import closed, diagnostics, frenet, lagrangian, ode
-from elastica_lab.lagrangian import DomainError
+from elastica_lab import closed, diagnostics, ode
 from elastica_lab.scalar import SingularTorsionError
 
 from conftest import frame_jet
-
-
-def test_reduced_lagrangian_unit_values():
-    assert closed.reduced_lagrangian([1, 0, 0], [0, 1, 0], 0.0, [0, 0, 0]) == pytest.approx(1.0)
-    assert closed.reduced_lagrangian([1, 0, 0], [0, 1, 0], 2.0, [1, 0, 0]) == pytest.approx(2.0)
-
-
-def test_reduced_lagrangian_parallel_velocity():
-    # q x qdot = 0 leaves only the multiplier and momentum terms.
-    value = closed.reduced_lagrangian([2, 0, 0], [3, 0, 0], 0.5, [0.2, 0, 0])
-    assert value == pytest.approx(0.5 * 2.0 - 0.4)
-
-
-def test_reduced_lagrangian_domain_error():
-    with pytest.raises(DomainError):
-        closed.reduced_lagrangian([0, 0, 0], [1, 0, 0], 0.0, [0, 0, 0])
-
-
-def test_closed_el_residual_free_momentum():
-    # lambda = 0 turns the constrained equation into conservation of the
-    # free-elastica linear momentum, with c = p.
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        j = frame_jet(rng.uniform(0.3, 1.5), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        cs = lagrangian.conserved_momenta(j)
-        f = frenet.frenet_frame(j)
-        kappa_dot = np.dot(j.xddot, j.xdddot) / f.kappa
-        res = closed.closed_el_residual(f, kappa_dot, 0.0, cs.p)
-        assert np.linalg.norm(res) <= 1e-12
-
-
-def test_closed_el_residual_constant_along_free_solutions(standard_trace_5):
-    for j in standard_trace_5.samples[::500]:
-        cs0 = lagrangian.conserved_momenta(standard_trace_5.samples[0])
-        f = frenet.frenet_frame(j)
-        kappa_dot = np.dot(j.xddot, j.xdddot) / f.kappa
-        res = closed.closed_el_residual(f, kappa_dot, 0.0, cs0.p)
-        assert np.linalg.norm(res) <= 1e-9
-
-
-def test_closed_el_residual_balanced_circle():
-    from elastica_lab.geometry import STANDARD_FRAME, FrenetFrame
-
-    T, N, B = STANDARD_FRAME
-    f = FrenetFrame(T=T, N=N, B=B, kappa=1.0, tau=0.0)
-    res = closed.closed_el_residual(f, 0.0, 1.0, np.zeros(3))
-    np.testing.assert_allclose(res, np.zeros(3), atol=1e-15)
-
-
-def test_closed_el_residual_affine_in_c():
-    f = frenet.frenet_frame(frame_jet(1.0, 0.3, 0.2))
-    delta = np.array([0.1, -0.2, 0.3])
-    base = closed.closed_el_residual(f, 0.3, 0.5, np.zeros(3))
-    shifted = closed.closed_el_residual(f, 0.3, 0.5, delta)
-    np.testing.assert_allclose(shifted - base, -delta, atol=1e-15)
 
 
 def test_foltinek_planar_unit_case():

@@ -10,45 +10,11 @@ from elastica_lab.geometry import (
     PhaseState,
     cross,
     dot,
-    split_parallel,
     vec3,
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vectors = st.tuples(finite, finite, finite).map(np.array)
-
-
-def test_split_parallel_axis_aligned():
-    par, perp = split_parallel([1, 1, 0], [1, 0, 0])
-    np.testing.assert_array_equal(par, [1, 0, 0])
-    np.testing.assert_array_equal(perp, [0, 1, 0])
-
-
-def test_split_parallel_zero_vector():
-    par, perp = split_parallel([0, 0, 0], [0, 1, 0])
-    np.testing.assert_array_equal(par, np.zeros(3))
-    np.testing.assert_array_equal(perp, np.zeros(3))
-
-
-def test_split_parallel_oblique():
-    par, perp = split_parallel([1, 2, 3], [1, 1, 1])
-    np.testing.assert_allclose(par, [2, 2, 2], atol=1e-15)
-    np.testing.assert_allclose(perp, [-1, 0, 1], atol=1e-15)
-
-
-def test_split_parallel_zero_direction():
-    with pytest.raises(DegenerateInputError):
-        split_parallel([1, 2, 3], [0, 0, 0])
-
-
-@given(vectors, vectors)
-def test_split_parallel_exact_decomposition(v, d):
-    if np.linalg.norm(d) < 1e-6:
-        d = d + np.array([1.0, 0.0, 0.0])
-    par, perp = split_parallel(v, d)
-    scale = max(1.0, float(np.max(np.abs(v))))
-    np.testing.assert_allclose(par + perp, v, atol=1e-12 * scale)
-    assert abs(dot(perp, d)) <= 1e-12 * scale * max(1.0, np.linalg.norm(d))
 
 
 @given(vectors, vectors)
