@@ -36,7 +36,7 @@ import numpy as np
 from . import diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
 from .closed import angular_momentum_j, foltinek_invariant
 from .frenet import KAPPA_MIN, jet_from_frame
-from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState, require_uniform
+from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -122,7 +122,7 @@ def write_trace(trace, path):
 
 def read_trace(path):
     """Parse a curve trace file; the state columns are validated by
-    CurveTrace.from_array, the s, kappa and tau columns here."""
+    CurveTrace, the s, kappa and tau columns here."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != TRACE_HEADER:
@@ -138,9 +138,10 @@ def read_trace(path):
     if not np.all(np.isfinite(data[:, [0, 13, 14]])):
         raise InputError(f"non-finite value in trace {path}")
     step = 1.0 if len(data) == 1 else data[1, 0] - data[0, 0]
+    if np.any(np.abs(np.diff(data[:, 0]) - step) > 1e-12):
+        raise InputError(f"bad trace {path}: samples are not uniformly spaced by step")
     try:
-        require_uniform(data[:, 0], step)
-        return CurveTrace.from_array(step, data[:, 1:13], t0=data[0, 0], metadata={"source": path})
+        return CurveTrace(step, data[:, 1:13], t0=data[0, 0], metadata={"source": path})
     except ValueError as exc:
         raise InputError(f"bad trace {path}: {exc}") from exc
 

@@ -30,18 +30,13 @@ def frenet_frame(j):
     return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau)
 
 
-def frenet_rhs(f):
-    """Frame derivatives (Tdot, Ndot, Bdot) = (kappa N, -kappa T + tau B, -tau N)."""
-    return f.kappa * f.N, -f.kappa * f.T + f.tau * f.B, -f.tau * f.N
-
-
-def jet_from_frame(x, f, kappa_dot, t=0.0):
+def jet_from_frame(x, f, kappa_dot):
     """Arclength jet with the given position, frame and curvature rate.
 
     xdot = T, xddot = kappa N, xdddot = kappa_dot N - kappa^2 T + kappa tau B.
     """
     xddd = kappa_dot * f.N - f.kappa**2 * f.T + f.kappa * f.tau * f.B
-    return JetState(t, x, f.T, f.kappa * f.N, xddd)
+    return JetState(0.0, x, f.T, f.kappa * f.N, xddd)
 
 
 def fourth_derivative_frame(f, kappa_dot, kappa_ddot, tau_dot):

@@ -118,9 +118,9 @@ class PhaseState:
         return np.concatenate([self.x, self.xdot, self.p_x, self.p_xdot])
 
     @staticmethod
-    def from_array(t, y, p_t=0.0):
+    def from_array(t, y):
         y = np.asarray(y, dtype=float)
-        return PhaseState(t, y[0:3], y[3:6], y[6:9], y[9:12], p_t)
+        return PhaseState(t, y[0:3], y[3:6], y[6:9], y[9:12])
 
 
 @dataclass
@@ -181,12 +181,6 @@ class ConservedSet:
             raise ValueError("non-finite conserved scalar")
 
 
-def require_uniform(params, step):
-    """Raise ValueError unless consecutive params increase by step (within 1e-12)."""
-    if np.any(np.abs(np.diff(params) - step) > 1e-12):
-        raise ValueError("samples are not uniformly spaced by step")
-
-
 # Per trace kind: the sample type and the names of its four column blocks.
 _KINDS = {
     "jet": (JetState, ("x", "xdot", "xddot", "xdddot")),
@@ -209,25 +203,9 @@ class CurveTrace:
     p_x = property(lambda self: self.stacked("p_x"))
     p_xdot = property(lambda self: self.stacked("p_xdot"))
 
-    def __init__(self, step, samples, metadata=None):
-        """Trace of a list of JetState, or of PhaseState with p_t = 0."""
-        if not samples:
-            raise ValueError("trace needs at least one sample")
-        if any(getattr(s, "p_t", 0.0) != 0.0 for s in samples):
-            raise ValueError("a phase trace stores p_t = 0; got a sample with p_t != 0")
-        params = np.array([s.t for s in samples])
-        require_uniform(params, float(step))
-        kind = "phase" if isinstance(samples[0], PhaseState) else "jet"
-        self._init(step, np.array([s.to_array() for s in samples]), params[0], kind, metadata)
-
-    @classmethod
-    def from_array(cls, step, data, t0=0.0, kind="jet", metadata=None):
+    def __init__(self, step, data, t0=0.0, kind="jet", metadata=None):
         """Trace over an (N, 12) array, which it takes over read-only."""
-        trace = cls.__new__(cls)
-        trace._init(step, np.asarray(data, dtype=float), t0, kind, metadata)
-        return trace
-
-    def _init(self, step, data, t0, kind, metadata):
+        data = np.asarray(data, dtype=float)
         self.step, self.t0, self.kind = float(step), float(t0), kind
         if not self.step > 0.0:
             raise ValueError("step must be positive")

@@ -87,7 +87,7 @@ def jet_trace(phase):
     must be in the range of the Legendre transform."""
     _require_in_range(np.stack(constraints(phase.xdot, phase.p_x, phase.p_xdot), axis=-1))
     jets = np.hstack([phase.x, phase.xdot, *arclength_fiber(phase.xdot, phase.p_x, phase.p_xdot)])
-    return CurveTrace.from_array(phase.step, jets, t0=phase.t0, metadata=phase.metadata)
+    return CurveTrace(phase.step, jets, t0=phase.t0, metadata=phase.metadata)
 
 
 @dataclass
@@ -171,4 +171,4 @@ def integrate_flow(ps0, step, count, method="rk4", project=False):
     hook = project_constraints if project else None
     _, ys = integrator(_flat_rhs, ps0.to_array(), step, count, t0=ps0.t, project=hook)
     metadata = {"gauge": "arclength", "integrator": method, "projected": bool(project)}
-    return CurveTrace.from_array(step, ys, t0=ps0.t, kind="phase", metadata=metadata)
+    return CurveTrace(step, ys, t0=ps0.t, kind="phase", metadata=metadata)

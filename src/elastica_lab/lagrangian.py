@@ -132,7 +132,7 @@ def central_el_residual(p_x, step):
 def el_residual(trace, index):
     """The central-difference Euler-Lagrange residual at an interior sample."""
     n = len(trace)
-    if index < 2 or index > n - 3:
+    if index < 1 or index > n - 2:
         raise IndexError(f"index {index} leaves no room for a centered stencil")
     rows = slice(index - 1, index + 2)
     p_x, _ = momenta(trace.xdot[rows], trace.xddot[rows], trace.xdddot[rows])
@@ -179,9 +179,7 @@ def integrate_elastica(j0, step, count, method="rk4"):
     _require_arclength(j0)
     integrator = ode.integrate if method == "rk4" else ode.integrate_rk45
     _, ys = integrator(_flat_rhs, j0.to_array(), step, count, t0=j0.t)
-    trace = CurveTrace.from_array(
-        step, ys, t0=j0.t, metadata={"gauge": "arclength", "integrator": method}
-    )
+    trace = CurveTrace(step, ys, t0=j0.t, metadata={"gauge": "arclength", "integrator": method})
     defects = np.abs(arclength_conditions(trace.xdot, trace.xddot, trace.xdddot))
     bad = np.flatnonzero(np.max(defects, axis=1) > ARCLENGTH_TOL)
     if bad.size:

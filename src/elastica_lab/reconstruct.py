@@ -133,7 +133,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * xdot + (kappa * tau)[:, None] * B
 
     meta = {"gauge": "arclength", "integrator": "reconstruct"}
-    return CurveTrace.from_array(step, np.hstack([x, xdot, xddot, xdddot]), t0=t0, metadata=meta)
+    return CurveTrace(step, np.hstack([x, xdot, xddot, xdddot]), t0=t0, metadata=meta)
 
 
 def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0):
@@ -168,7 +168,7 @@ def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0
     xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * T
 
     data = np.hstack([x, T, xddot, xdddot])
-    return CurveTrace.from_array(
+    return CurveTrace(
         step, data, t0=t0, metadata={"gauge": "arclength", "integrator": "reconstruct_planar"}
     )
 
@@ -183,7 +183,7 @@ def reconstruct_line(x0, tangent, step, count, t0=0.0):
     t_hat = t_hat / n
     arc = (step * np.arange(count + 1))[:, None]
     data = np.hstack([x0 + arc * t_hat, np.tile(t_hat, (count + 1, 1)), np.zeros((count + 1, 6))])
-    return CurveTrace.from_array(
+    return CurveTrace(
         step, data, t0=t0, metadata={"gauge": "arclength", "integrator": "reconstruct_line"}
     )
 

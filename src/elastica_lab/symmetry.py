@@ -42,10 +42,9 @@ class SymmetryField:
     Both callables are finite-difference spot checked at construction.
     """
 
-    def __init__(self, tau, xi, name=""):
+    def __init__(self, tau, xi):
         self.tau = tau
         self.xi = xi
-        self.name = name
         self._validate()
 
     def _validate(self):
@@ -108,7 +107,6 @@ class SymmetryField:
         return SymmetryField(
             tau=lambda t: (0.0, 0.0, 0.0, 0.0),
             xi=lambda t, x: (d, zero, np.zeros((3, 3))),
-            name="translation[%g,%g,%g]" % tuple(d),
         )
 
     @staticmethod
@@ -121,7 +119,6 @@ class SymmetryField:
         return SymmetryField(
             tau=lambda t: (0.0, 0.0, 0.0, 0.0),
             xi=lambda t, x: (np.cross(a, x), zero, jac),
-            name="rotation[%g,%g,%g]" % tuple(a),
         )
 
     @staticmethod
@@ -130,7 +127,6 @@ class SymmetryField:
         return SymmetryField(
             tau=lambda t: (1.0, 0.0, 0.0, 0.0),
             xi=lambda t, x: (zero, zero, np.zeros((3, 3))),
-            name="time_translation",
         )
 
     @staticmethod
@@ -140,7 +136,6 @@ class SymmetryField:
         return SymmetryField(
             tau=tau,
             xi=lambda t, x: (zero, zero, np.zeros((3, 3))),
-            name="reparametrization",
         )
 
 
@@ -178,11 +173,10 @@ def prolong(X, j):
     )
 
 
-def noether_charge(X, j, boundary=None):
+def noether_charge(X, j):
     """Conserved quantity of X at the jet j:
 
-    J = L tau + <p_x, xi - tau xdot> + <p_xdot, d/dt(xi - tau xdot)>  (+ F(j)
-    when X is a symmetry only up to the differential of a boundary function F).
+    J = L tau + <p_x, xi - tau xdot> + <p_xdot, d/dt(xi - tau xdot)>.
     """
     tau, td, _, _ = X.tau(j.t)
     xi, xi_t, jac = X.xi(j.t, j.x)
@@ -192,10 +186,7 @@ def noether_charge(X, j, boundary=None):
     L = lagrangian_density(j)
     slot = xi - tau * j.xdot
     slot_dot = xi_d - td * j.xdot - tau * j.xddot
-    charge = L * tau + dot(p_x, slot) + dot(p_xdot, slot_dot)
-    if boundary is not None:
-        charge += float(boundary(j))
-    return charge
+    return L * tau + dot(p_x, slot) + dot(p_xdot, slot_dot)
 
 
 def cartan_contraction(X, j):
@@ -214,7 +205,7 @@ def cartan_contraction(X, j):
     return L * pr.tau + dot(p_x, theta1) + dot(p_xdot, theta2)
 
 
-def noether_identity_residual(X, trace, index, boundary=None):
+def noether_identity_residual(X, trace, index):
     """Off-shell Noether identity residual at an interior sample:
 
     d/dt J_X + <EL residual, xi - tau xdot>,
@@ -223,11 +214,11 @@ def noether_identity_residual(X, trace, index, boundary=None):
     not.  Both derivatives are second-order central differences.
     """
     n = len(trace)
-    if index < 2 or index > n - 3:
+    if index < 1 or index > n - 2:
         raise IndexError(f"index {index} leaves no room for a centered stencil")
     h = trace.step
-    j_prev = noether_charge(X, trace.samples[index - 1], boundary)
-    j_next = noether_charge(X, trace.samples[index + 1], boundary)
+    j_prev = noether_charge(X, trace.samples[index - 1])
+    j_next = noether_charge(X, trace.samples[index + 1])
     dJ = (j_next - j_prev) / (2.0 * h)
     j = trace.samples[index]
     tau = X.tau(j.t)[0]

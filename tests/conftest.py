@@ -38,9 +38,7 @@ def standard_trace(standard_jet):
 def standard_trace_5(standard_trace):
     """The s in [0, 5] head of the reference run."""
     return CurveTrace(
-        step=STEP,
-        samples=standard_trace.samples[:5001],
-        metadata=standard_trace.metadata,
+        STEP, standard_trace.data[:5001], t0=standard_trace.t0, metadata=standard_trace.metadata
     )
 
 
@@ -67,18 +65,16 @@ def line_jet():
     return JetState(0.0, np.zeros(3), T, np.zeros(3), np.zeros(3))
 
 
+def circle_rows(u, speed):
+    """Jet rows (x, xdot, xddot, xdddot) of the unit circle traversed at
+    `speed`, sampled at the parameters u; arclength at speed 1."""
+    c, s, z = np.cos(speed * u), np.sin(speed * u), np.zeros_like(u)
+    return np.column_stack(
+        [c, s, z, -speed * s, speed * c, z, -speed**2 * c, -speed**2 * s, z, speed**3 * s, -speed**3 * c, z]
+    )
+
+
 @pytest.fixture(scope="session")
 def circle_trace():
     """Unit circle jets: arclength but not a solution of the dynamics."""
-    s = np.arange(2001) * STEP
-    samples = [
-        JetState(
-            si,
-            [np.cos(si), np.sin(si), 0.0],
-            [-np.sin(si), np.cos(si), 0.0],
-            [-np.cos(si), -np.sin(si), 0.0],
-            [np.sin(si), -np.cos(si), 0.0],
-        )
-        for si in s
-    ]
-    return CurveTrace(step=STEP, samples=samples, metadata={"gauge": "arclength"})
+    return CurveTrace(STEP, circle_rows(np.arange(2001) * STEP, 1.0), metadata={"gauge": "arclength"})

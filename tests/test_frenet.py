@@ -54,32 +54,6 @@ def test_frame_orthonormal_on_random_jets():
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
 
-def test_frenet_rhs_planar_circle():
-    T, N, B = STANDARD_FRAME
-    f = FrenetFrame(T=T, N=N, B=B, kappa=1.0, tau=0.0)
-    Td, Nd, Bd = frenet.frenet_rhs(f)
-    np.testing.assert_allclose(Td, [0, 1, 0], atol=1e-15)
-    np.testing.assert_allclose(Nd, [-1, 0, 0], atol=1e-15)
-    np.testing.assert_array_equal(Bd, np.zeros(3))
-
-
-def test_frenet_rhs_helix_binormal():
-    f = frenet.frenet_frame(HELIX_JET)
-    _, _, Bd = frenet.frenet_rhs(f)
-    np.testing.assert_allclose(Bd, -0.5 * f.N, atol=1e-12)
-
-
-def test_frenet_rhs_antisymmetry():
-    # First-order orthonormality preservation holds exactly.
-    f = frenet.frenet_frame(frame_jet(1.3, 0.2, -0.4))
-    Td, Nd, Bd = frenet.frenet_rhs(f)
-    assert np.dot(f.T, Td) == 0.0
-    assert np.dot(f.N, Nd) == 0.0
-    assert np.dot(f.B, Bd) == 0.0
-    assert np.dot(Td, f.N) + np.dot(f.T, Nd) == pytest.approx(0.0, abs=1e-15)
-    assert np.dot(Nd, f.B) + np.dot(f.N, Bd) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_jet_from_frame_planar():
     T, N, B = STANDARD_FRAME
     f = FrenetFrame(T=T, N=N, B=B, kappa=1.0, tau=0.0)

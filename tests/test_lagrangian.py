@@ -136,10 +136,15 @@ def test_el_residual_large_on_circle(circle_trace):
 
 
 def test_el_residual_stencil_bounds(standard_trace_5):
-    with pytest.raises(IndexError):
-        lagrangian.el_residual(standard_trace_5, 1)
-    with pytest.raises(IndexError):
-        lagrangian.el_residual(standard_trace_5, len(standard_trace_5) - 2)
+    # The stencil reads rows index-1..index+1: indexes 1..N-2 are valid and
+    # give the trace-level rows exactly; the end rows have no neighbour.
+    n = len(standard_trace_5)
+    rows = diagnostics.el_residual_array(standard_trace_5)
+    for i in (1, n - 2):
+        assert lagrangian.el_residual(standard_trace_5, i).tobytes() == rows[i - 1].tobytes()
+    for i in (0, n - 1):
+        with pytest.raises(IndexError):
+            lagrangian.el_residual(standard_trace_5, i)
 
 
 def test_conserved_momenta_planar_jet():

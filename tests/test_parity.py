@@ -31,10 +31,10 @@ def _rotation(a, b, c):
     return rz @ ry @ rx
 
 
-def _jet(i, kappa, kappa_dot, tau, angles, x0):
+def _jet(kappa, kappa_dot, tau, angles, x0):
     T, N, B = _rotation(*angles).T
     f = FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau)
-    return frenet.jet_from_frame(np.array(x0), f, kappa_dot, t=float(i))
+    return frenet.jet_from_frame(np.array(x0), f, kappa_dot)
 
 
 def _close(single, arrays):
@@ -47,8 +47,8 @@ def _close(single, arrays):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(jet_data, min_size=1, max_size=8))
 def test_single_point_api_matches_trace_arrays(draws):
-    jets = [_jet(i, *d) for i, d in enumerate(draws)]
-    trace = CurveTrace(step=1.0, samples=jets)
+    jets = [_jet(*d) for d in draws]
+    trace = CurveTrace(1.0, [j.to_array() for j in jets])
 
     p_x, p_xdot = lagrangian.momenta(trace.xdot, trace.xddot, trace.xdddot)
     single = [lagrangian.ostrogradski_momenta(j) for j in jets]
@@ -71,7 +71,7 @@ def test_single_point_api_matches_trace_arrays(draws):
     _close([cs.c for cs in sets], c)
 
     phases = [hamiltonian.legendre(j) for j in jets]
-    phase_trace = CurveTrace(step=1.0, samples=phases)
+    phase_trace = CurveTrace(1.0, [ps.to_array() for ps in phases], kind="phase")
     _close(
         [hamiltonian.constraint_residuals(ps) for ps in phases],
         diagnostics.phase_constraint_arrays(phase_trace),

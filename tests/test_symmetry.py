@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from elastica_lab import symmetry
-from elastica_lab.geometry import JetState
+from elastica_lab.geometry import CurveTrace, JetState
 from elastica_lab.symmetry import FieldValidationError, SymmetryField
 
-from conftest import frame_jet
+from conftest import circle_rows
 
 PLANAR = JetState(0.0, [0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0])
 
@@ -138,21 +138,8 @@ def test_offshell_identity_terms_on_solutions(standard_trace_5):
 
 def test_offshell_identity_general_parametrization():
     # The identity is parametrization-agnostic: a circle traversed at speed 2.
-    from elastica_lab.geometry import CurveTrace
-
     h = 1e-3
-    u = np.arange(801) * h
-    samples = [
-        JetState(
-            ui,
-            [np.cos(2 * ui), np.sin(2 * ui), 0.0],
-            [-2 * np.sin(2 * ui), 2 * np.cos(2 * ui), 0.0],
-            [-4 * np.cos(2 * ui), -4 * np.sin(2 * ui), 0.0],
-            [8 * np.sin(2 * ui), -8 * np.cos(2 * ui), 0.0],
-        )
-        for ui in u
-    ]
-    trace = CurveTrace(step=h, samples=samples)
+    trace = CurveTrace(h, circle_rows(np.arange(801) * h, 2.0))
     for X in (E1, R3, TIME):
         for i in (5, 400, 795):
             assert abs(symmetry.noether_identity_residual(X, trace, i)) <= 1e-6
@@ -168,16 +155,6 @@ def test_identity_zero_on_line_with_constant_field(line_jet):
 def test_identity_stencil_bounds(circle_trace):
     with pytest.raises(IndexError):
         symmetry.noether_identity_residual(E1, circle_trace, 0)
-
-
-def test_boundary_slot_shifts_charge():
-    # Symmetry-up-to-a-differential support: the charge gains exactly F(j).
-    a = np.array([0.2, -0.5, 1.0])
-    F = lambda j: float(np.dot(a, j.x))
-    j = frame_jet(1.0, 0.3, 0.2, x0=[1.0, 2.0, -0.5])
-    base = symmetry.noether_charge(R3, j)
-    shifted = symmetry.noether_charge(R3, j, boundary=F)
-    assert shifted - base == pytest.approx(F(j), abs=1e-14)
 
 
 def test_reparametrization_charge_vanishes_on_solutions(standard_trace_5):
