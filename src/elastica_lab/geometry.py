@@ -209,6 +209,8 @@ class CurveTrace:
         self.step, self.t0, self.kind = float(step), float(t0), kind
         if not self.step > 0.0:
             raise ValueError("step must be positive")
+        if kind not in _KINDS:
+            raise ValueError(f"trace kind must be one of {sorted(_KINDS)}, got {kind!r}")
         if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != 12:
             raise ValueError(f"trace needs an (N >= 1, 12) array, got shape {data.shape}")
         if not (np.isfinite(self.t0) and np.all(np.isfinite(data))):

@@ -27,7 +27,7 @@ import numpy as np
 from .frenet import KAPPA_MIN
 from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
-from .ode import cumulative_simpson
+from .ode import cumulative_hermite
 from .scalar import constants_from_momenta, integrate_scalar, torsion_from_c
 
 # Relative floor for |p|^2 - kappa^4; below it xdot is numerically parallel
@@ -76,25 +76,28 @@ def frame_DE(j, p):
     return D, E
 
 
-def phase_phi(kappa_samples, cs, step):
-    """Accumulated rotation angle phi(s) of the (D, E) frame on the grid."""
-    kappa = np.asarray(kappa_samples, dtype=float)
+def phase_phi(kappa, kappa_dot, cs, step):
+    """Accumulated rotation angle phi(s) of the (D, E) frame on the grid, by
+    the cubic Hermite rule with Omega' = 2 <l,p> |p| kappa^3 kappa_dot/(|p|^2 - kappa^4)^2."""
+    kappa = np.asarray(kappa, dtype=float)
     p2 = dot(cs.p, cs.p)
-    lp = dot(cs.l, cs.p)
+    scale = dot(cs.l, cs.p) * np.sqrt(p2)
     denom = p2 - kappa**4
     if np.any(denom <= DENOMINATOR_FLOOR * p2):
         raise BranchError("|p|^2 - kappa^4 hit the floor: generic branch invalid")
-    rate = lp * np.sqrt(p2) / (2.0 * denom)
-    return cumulative_simpson(rate, step)
+    rate = scale / (2.0 * denom)
+    rate_dot = 2.0 * scale * kappa**3 * np.asarray(kappa_dot, dtype=float) / denom**2
+    return cumulative_hermite(step, rate, rate_dot)
 
 
 def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0=0.0):
     """Generic-branch reconstruction from kappa(s) and the conserved set.
 
-    Positions come from quadrature of
-        xdot(s) = -kappa^2 p/|p|^2 - (sqrt(|p|^2-kappa^4)/|p|) E(s);
-    the higher jet slots are recovered by expanding the Frenet frame over the
-    orthonormal triple (p/|p|, D, E).  Returns a jet CurveTrace.
+    The jet comes from
+        xdot(s) = -kappa^2 p/|p|^2 - (sqrt(|p|^2-kappa^4)/|p|) E(s)
+    and the Frenet frame expanded over the orthonormal triple (p/|p|, D, E);
+    positions are its quintic Hermite quadrature with xddot and xdddot.
+    Returns a jet CurveTrace.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
@@ -108,14 +111,13 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     pn = np.sqrt(p2)
     phat = p / pn
 
-    phi = phase_phi(kappa, cs, step)
+    phi = phase_phi(kappa, kappa_dot, cs, step)
     D = np.outer(np.cos(phi), D0) - np.outer(np.sin(phi), E0)
     E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
 
     w = np.sqrt(p2 - kappa**4)
     tau = torsion_from_c(kappa, constants_from_momenta(cs)[0])
     xdot = -np.outer(kappa**2 / p2, p) - (w / pn)[:, None] * E
-    x = x0 + cumulative_simpson(xdot, step)
 
     # Frame recovery over (phat, D, E): components follow from the moving-frame
     # expressions of p, D and E.
@@ -131,6 +133,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     )
     xddot = kappa[:, None] * N
     xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * xdot + (kappa * tau)[:, None] * B
+    x = x0 + cumulative_hermite(step, xdot, xddot, xdddot)
 
     meta = {"gauge": "arclength", "integrator": "reconstruct"}
     return CurveTrace(step, np.hstack([x, xdot, xddot, xdddot]), t0=t0, metadata=meta)
@@ -139,7 +142,8 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
 def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0):
     """Planar-branch reconstruction with constant binormal B.
 
-    Uses <x, p> = <x0, p> - integral(kappa^2) and
+    Uses <x, p> = <x0, p> - integral(kappa^2), by the cubic Hermite rule
+    with (kappa^2)' = 2 kappa kappa_dot, and
     <x, p x B> = <x0, p x B> + 2 kappa(s0) - 2 kappa(s); kappa may be signed
     (planar curvature changes sign at inflections).
     """
@@ -154,7 +158,7 @@ def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0
         raise BranchError("p x B = 0: the motion is a straight line")
     p2 = dot(p, p)
 
-    ksq_int = cumulative_simpson(kappa**2, step)
+    ksq_int = cumulative_hermite(step, kappa**2, 2.0 * kappa * kappa_dot)
     x = (
         x0
         - np.outer(ksq_int / p2, p)
@@ -208,7 +212,7 @@ def reduce_jet(j0, cs):
 def reduce_and_reconstruct(j0, step, count):
     """Full scalar-reduction pipeline from an arclength initial jet.
 
-    Reduces the jet (reduce_jet), integrates the curvature equation with the
+    Reduces the jet (reduce_jet), evaluates the exact curvature with the
     matching torsion constant, and rebuilds x(s) on the branch the invariants
     select.  The result is grid-compatible with direct integration of the
     fourth-order dynamics from the same jet.

@@ -103,6 +103,12 @@ def test_curve_trace_from_array_rejects_bad_arrays():
         CurveTrace(0.5, np.full((2, 12), np.nan))
 
 
+@pytest.mark.parametrize("kind", ["Jet", "frame", ""])
+def test_curve_trace_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError, match="kind"):
+        CurveTrace(1.0, np.zeros((2, 12)), kind=kind)
+
+
 def test_phase_trace_layout_and_p_t():
     mk = lambda t: PhaseState(t, [t, 0, 0], [1, 0, 0], [0, 0, 1], [0, 2, 0]).to_array()
     tr = CurveTrace(0.5, [mk(0.0), mk(0.5)], kind="phase")

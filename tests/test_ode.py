@@ -173,3 +173,37 @@ def test_cumulative_simpson_tiny_inputs():
     np.testing.assert_allclose(
         ode.cumulative_simpson(np.array([1.0, 3.0]), 0.5), [0.0, 1.0]
     )
+
+
+def test_cumulative_hermite_exact_on_polynomials():
+    # The cubic rule integrates cubics exactly, the quintic rule quintics.
+    h = 0.25
+    x = np.arange(9) * h
+    cubic = ode.cumulative_hermite(h, 4 * x**3 - 1, 12 * x**2)
+    np.testing.assert_allclose(cubic, x**4 - x, atol=1e-12)
+    quintic = ode.cumulative_hermite(h, 6 * x**5, 30 * x**4, 120 * x**3)
+    np.testing.assert_allclose(quintic, x**6, atol=1e-11)
+
+
+@pytest.mark.parametrize("quintic, order", [(False, 4.0), (True, 6.0)])
+def test_cumulative_hermite_order(quintic, order):
+    hs, errs = [], []
+    for n in (10, 20, 40, 80):
+        h = 2.0 / n
+        x = np.arange(n + 1) * h
+        second = -np.cos(x) if quintic else None
+        cum = ode.cumulative_hermite(h, np.cos(x), -np.sin(x), second)
+        hs.append(h)
+        errs.append(np.max(np.abs(cum - np.sin(x))))
+    assert abs(ode.convergence_slope(hs, errs) - order) <= 0.2
+
+
+def test_cumulative_hermite_vector_valued_and_tiny():
+    h = 0.01
+    x = np.arange(101) * h
+    f = np.stack([np.cos(x), 2 * x], axis=1)
+    df = np.stack([-np.sin(x), np.full_like(x, 2.0)], axis=1)
+    cum = ode.cumulative_hermite(h, f, df)
+    np.testing.assert_allclose(cum[:, 0], np.sin(x), atol=1e-12)
+    np.testing.assert_allclose(cum[:, 1], x**2, atol=1e-13)
+    np.testing.assert_array_equal(ode.cumulative_hermite(0.1, [3.0], [1.0]), [0.0])

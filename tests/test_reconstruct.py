@@ -68,29 +68,29 @@ def test_frame_de_degenerate():
 
 def test_phase_phi_zero_for_planar_momenta():
     cs = ConservedSet(p=[-1, 0, 0], l=[0, 0, 2], H=0.0, c=0.0)
-    phi = reconstruct.phase_phi(np.full(11, 0.5), cs, 0.1)
+    phi = reconstruct.phase_phi(np.full(11, 0.5), np.zeros(11), cs, 0.1)
     np.testing.assert_array_equal(phi, np.zeros(11))
 
 
 def test_phase_phi_starts_at_zero(standard_jet):
     cs = lagrangian.conserved_momenta(standard_jet)
-    _, kappa, _ = scalar.integrate_scalar(1.0, 0.3, 0.2, 1e-3, 100)
-    phi = reconstruct.phase_phi(kappa, cs, 1e-3)
+    _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.2, 1e-3, 100)
+    phi = reconstruct.phase_phi(kappa, kappa_dot, cs, 1e-3)
     assert phi[0] == 0.0
 
 
 def test_phase_phi_denominator_floor():
     cs = ConservedSet(p=[1, 0, 0], l=[0, 0, 0], H=0.0, c=0.0)
     with pytest.raises(BranchError):
-        reconstruct.phase_phi(np.array([0.9, 1.0, 1.0]), cs, 0.1)
+        reconstruct.phase_phi(np.array([0.9, 1.0, 1.0]), np.zeros(3), cs, 0.1)
 
 
 def test_rotating_frame_matches_direct_integration(standard_jet, standard_trace_5):
     # The oracle that pins the rotation rate's factor and sign: frames from
     # the independently integrated fourth-order solution.
     cs = lagrangian.conserved_momenta(standard_jet)
-    _, kappa, _ = scalar.integrate_scalar(1.0, 0.3, 0.2, 1e-3, 5000)
-    phi = reconstruct.phase_phi(kappa, cs, 1e-3)
+    _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.2, 1e-3, 5000)
+    phi = reconstruct.phase_phi(kappa, kappa_dot, cs, 1e-3)
     D0, E0 = reconstruct.frame_DE(standard_jet, cs.p)
     D = np.outer(np.cos(phi), D0) - np.outer(np.sin(phi), E0)
     worst = 0.0
@@ -108,8 +108,8 @@ def test_rotating_frame_satisfies_ode():
     p2 = np.dot(cs.p, cs.p)
 
     def fd_error(step, count):
-        _, kappa, _ = scalar.integrate_scalar(1.0, 0.3, 0.2, step, count)
-        phi = reconstruct.phase_phi(kappa, cs, step)
+        _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.2, step, count)
+        phi = reconstruct.phase_phi(kappa, kappa_dot, cs, step)
         D = np.outer(np.cos(phi), D0) - np.outer(np.sin(phi), E0)
         E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
         rate = np.dot(cs.l, cs.p) * np.sqrt(p2) / (2.0 * (p2 - kappa**4))
