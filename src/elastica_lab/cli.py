@@ -99,8 +99,8 @@ def initial_jet(cfg):
 
 
 def _grid(step, length):
-    if step <= 0.0 or length <= 0.0:
-        raise InputError("step and length must be positive")
+    if not (0.0 < step < np.inf and 0.0 < length < np.inf):
+        raise InputError("step and length must be finite and positive")
     count = int(round(length / step))
     if count < 1 or abs(count * step - length) > 1e-9 * max(1.0, length):
         raise InputError("length must be an integer multiple of step")
@@ -138,7 +138,7 @@ def read_trace(path):
     if not np.all(np.isfinite(data[:, [0, 13, 14]])):
         raise InputError(f"non-finite value in trace {path}")
     step = 1.0 if len(data) == 1 else data[1, 0] - data[0, 0]
-    if np.any(np.abs(np.diff(data[:, 0]) - step) > 1e-12):
+    if np.any(np.abs(np.diff(data[:, 0]) - step) > diagnostics.GRID_TOL):
         raise InputError(f"bad trace {path}: samples are not uniformly spaced by step")
     try:
         return CurveTrace(step, data[:, 1:13], t0=data[0, 0], metadata={"source": path})

@@ -30,19 +30,25 @@ class SingularTorsionError(ValueError):
     """kappa at or below the floor with j != 0, where tau = -j/(4 kappa^2) is singular."""
 
 
+def quadrature_residual(kappa, kappa_dot, lam, c_sq, j):
+    """4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 max(|kappa|, KAPPA_MIN)^2) - |c|^2
+    from c_sq = |c|^2, over arrays of kappa and kappa'; the floor lets an audit
+    report a large value at kappa = 0 with j != 0 instead of raising."""
+    twist = j**2 / (4.0 * np.maximum(np.abs(kappa), KAPPA_MIN) ** 2)
+    return 4.0 * kappa_dot**2 + (lam - kappa**2) ** 2 + twist - c_sq
+
+
 def foltinek_invariant(kappa, kappa_prime, tau, lam, c_norm, j):
     """Residual of 4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 kappa^2) = c^2.
 
     Broadcasts over arrays of kappa and kappa'.  The j^2/(4 kappa^2) term is
-    absent when j = 0, so only j != 0 makes kappa = 0 singular.
+    absent when j = 0, so only j != 0 makes kappa = 0 singular; there it
+    raises instead of flooring kappa.
     """
     kappa = np.asarray(kappa, dtype=float)
-    twist = 0.0
-    if j != 0.0:
-        if np.any(np.abs(kappa) <= KAPPA_MIN):
-            raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
-        twist = j**2 / (4.0 * kappa**2)
-    return 4.0 * kappa_prime**2 + (lam - kappa**2) ** 2 + twist - c_norm**2
+    if j != 0.0 and np.any(np.abs(kappa) <= KAPPA_MIN):
+        raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
+    return quadrature_residual(kappa, kappa_prime, lam, c_norm**2, j)
 
 
 def angular_momentum_j(kappa, tau):

@@ -7,7 +7,8 @@ Used by the CLI `invariants` report and by the test suite.
 
 import numpy as np
 
-from .frenet import KAPPA_MIN
+from .closed import quadrature_residual
+from .frenet import KAPPA_MIN, curvature
 from .geometry import arclength_conditions, dot
 from .hamiltonian import constraints
 from .lagrangian import central_el_residual, conserved, momenta
@@ -26,6 +27,10 @@ TOLERANCES = {
     "first_integral": 1e-8,
     "repar_charge": 1e-6,
 }
+
+# Two parameter values closer than this lie on one grid: steps of two traces,
+# or the spacing of a stored trace's s column against its step.
+GRID_TOL = 1e-12
 
 
 def arclength_defects(trace):
@@ -50,14 +55,9 @@ def momentum_arrays(trace):
 
 
 def curvature_arrays(trace):
-    """Per-sample (kappa, kappa_dot, tau); tau reported as 0 below the
-    curvature floor, where it is not trustworthy anyway."""
-    xd, xdd, xddd = trace.xdot, trace.xddot, trace.xdddot
-    kappa = np.sqrt(dot(xdd, xdd))
-    safe = np.maximum(kappa, KAPPA_MIN)
-    kappa_dot = np.where(kappa > KAPPA_MIN, dot(xdd, xddd) / safe, 0.0)
-    tau = np.where(kappa > KAPPA_MIN, dot(np.cross(xd, xdd), xddd) / safe**2, 0.0)
-    return kappa, kappa_dot, tau
+    """Per-sample (kappa, kappa_dot, tau) by frenet.curvature; kappa_dot and
+    tau are reported as 0 below the curvature floor."""
+    return curvature(trace.xdot, trace.xddot, trace.xdddot)
 
 
 def el_residual_array(trace):
@@ -77,16 +77,10 @@ def relative_drift(values):
     return float(np.max(dev)) / scale
 
 
-def floored_first_integral(kappa, kappa_dot, c):
-    """kappa_dot^2 + kappa^4/4 + c^2/kappa^2 per sample, kappa floored at
-    KAPPA_MIN: an audit reports a large value there instead of raising."""
-    return kappa_dot**2 + 0.25 * kappa**4 + c**2 / np.maximum(kappa, KAPPA_MIN) ** 2
-
-
 def _scalar_identities(xdot, p, l, c, kappa, kappa_dot):
     lp = dot(l, p)
     scalar4 = c + 0.25 * lp
-    scalar5 = 4.0 * floored_first_integral(kappa, kappa_dot, -0.25 * lp) - dot(p, p)
+    scalar5 = quadrature_residual(kappa, kappa_dot, 0.0, dot(p, p), lp)
     xdot_p = dot(xdot, p) + kappa**2
     return scalar4, scalar5, xdot_p
 
@@ -95,7 +89,7 @@ def scalar_identity_residuals(trace):
     """Pointwise residuals of the reduced-scalar identities, per sample:
 
     scalar4: kappa^2 tau + <l,p>/4
-    scalar5: 4 (kappa_dot^2 + kappa^4/4 + c^2/kappa^2) - |p|^2,  c = -<l,p>/4
+    scalar5: the quadrature relation at lambda = 0, |c| = |p| and j = <l,p>
     xdot_p:  <xdot, p> + kappa^2
     """
     p, l, _, c = momentum_arrays(trace)
@@ -120,7 +114,7 @@ def position_discrepancy(trace_a, trace_b):
     """Sup over samples of |x_a - x_b| for grid-compatible traces."""
     if len(trace_a) != len(trace_b):
         raise ValueError("traces have different lengths")
-    if abs(trace_a.step - trace_b.step) > 1e-12:
+    if abs(trace_a.step - trace_b.step) > GRID_TOL:
         raise ValueError("traces have different steps")
     xa = trace_a.positions()
     xb = trace_b.positions()
@@ -145,9 +139,9 @@ def invariant_report(trace):
     kappa, kappa_dot, _ = curvature_arrays(trace)
     defects = arclength_defects(trace)
     scalar4, scalar5, xdot_p = _scalar_identities(trace.xdot, p, l, c, kappa, kappa_dot)
-    c0 = -0.25 * float(np.dot(l[0], p[0]))
-    level = 0.25 * float(np.dot(p[0], p[0]))
-    fi = floored_first_integral(kappa, kappa_dot, c0)
+    # The quadrature relation with the initial momenta: 4x the deviation of
+    # kappa_dot^2 + kappa^4/4 + <l0,p0>^2/(16 kappa^2) from |p0|^2/4.
+    fi = quadrature_residual(kappa, kappa_dot, 0.0, dot(p[0], p[0]), dot(l[0], p[0]))
     charges = reparametrization_charges(trace.params(), H, p_xdot, trace.xdot)
 
     measured = {
@@ -159,7 +153,7 @@ def invariant_report(trace):
         "scalar4": float(np.max(np.abs(scalar4))),
         "scalar5": float(np.max(np.abs(scalar5))),
         "xdot_p": float(np.max(np.abs(xdot_p))),
-        "first_integral": float(np.max(np.abs(fi - level))),
+        "first_integral": 0.25 * float(np.max(np.abs(fi))),
         "repar_charge": float(np.max(np.abs(charges))),
     }
     if len(trace) >= 5:

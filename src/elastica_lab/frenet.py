@@ -1,4 +1,6 @@
-"""Frenet frames from jets, the frame ODE, and jet synthesis from frame data."""
+"""Curvature and Frenet frames from jets, and jet synthesis from frame data."""
+
+import numpy as np
 
 from .geometry import FrenetFrame, JetState, cross, dot, norm
 from .lagrangian import ARCLENGTH_TOL, GaugeError
@@ -12,21 +14,32 @@ class FrameUndefinedError(ValueError):
     """Curvature at or below KAPPA_MIN: no Frenet frame exists here."""
 
 
-def frenet_frame(j):
-    """Extract (T, N, B, kappa, tau) from an arclength jet.
+def curvature(xdot, xddot, xdddot):
+    """(kappa, kappa_dot, tau) of arclength jets, over (..., 3) arrays:
 
-    T = xdot, N = xddot/kappa, B = T x N, kappa = |xddot|, and
-    tau = <xdot cross xddot, xdddot> / kappa^2.
+    kappa = |xddot|, kappa_dot = <xddot, xdddot>/kappa and
+    tau = <xdot cross xddot, xdddot>/kappa^2; kappa_dot and tau are 0 at or
+    below KAPPA_MIN, where they are not trustworthy.
+    """
+    kappa = np.sqrt(dot(xddot, xddot))
+    safe = np.maximum(kappa, KAPPA_MIN)
+    kappa_dot = np.where(kappa > KAPPA_MIN, dot(xddot, xdddot) / safe, 0.0)
+    tau = np.where(kappa > KAPPA_MIN, dot(cross(xdot, xddot), xdddot) / safe**2, 0.0)
+    return kappa, kappa_dot, tau
+
+
+def frenet_frame(j):
+    """Extract (T, N, B, kappa, tau) from an arclength jet by curvature:
+    T = xdot, N = xddot/kappa and B = T x N.
     """
     if not j.is_arclength(tol=ARCLENGTH_TOL):
         raise GaugeError("frenet_frame needs an arclength jet")
-    kappa = norm(j.xddot)
+    kappa, _, tau = curvature(j.xdot, j.xddot, j.xdddot)
     if kappa <= KAPPA_MIN:
         raise FrameUndefinedError(f"kappa = {kappa} <= {KAPPA_MIN}: use the straight-line branch")
     T = j.xdot / norm(j.xdot)
     N = j.xddot / kappa
     B = cross(T, N)
-    tau = dot(cross(j.xdot, j.xddot), j.xdddot) / kappa**2
     return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau)
 
 

@@ -24,7 +24,7 @@ import enum
 
 import numpy as np
 
-from .frenet import KAPPA_MIN
+from .frenet import KAPPA_MIN, curvature
 from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
 from .ode import cumulative_hermite
@@ -200,11 +200,10 @@ def reduce_jet(j0, cs):
     momenta give it only to roundoff; the line branch has no curvature
     dynamics and returns kappa_dot0 = c = 0.
     """
-    kappa0 = norm(j0.xddot)
-    branch = classify_case(cs, kappa0, 0.0 if kappa0 <= KAPPA_MIN else cs.c / kappa0**2)
+    kappa0, kappa_dot0, tau0 = (float(v) for v in curvature(j0.xdot, j0.xddot, j0.xdddot))
+    branch = classify_case(cs, kappa0, tau0)
     if branch is Branch.DEGENERATE_LINE:
         return branch, kappa0, 0.0, 0.0
-    kappa_dot0 = dot(j0.xddot, j0.xdddot) / kappa0
     c = constants_from_momenta(cs)[0] if branch is Branch.GENERIC else 0.0
     return branch, kappa0, kappa_dot0, c
 

@@ -175,8 +175,8 @@ def test_explicit_frame_rows(tmp_path):
     b = str(tmp_path / "rot.csv")
     assert run(["simulate", "--config", write_cfg(tmp_path, FRAME_CFG, "s.json"), "--out", a, "--step", "1e-3", "--length", "0.5"]) == 0
     assert run(["simulate", "--config", write_cfg(tmp_path, rotated, "r.json"), "--out", b, "--step", "1e-3", "--length", "0.5"]) == 0
-    ka = np.array([float(line.split(",")[13]) for line in open(a).readlines()[1:]])
-    kb = np.array([float(line.split(",")[13]) for line in open(b).readlines()[1:]])
+    ka = np.loadtxt(a, delimiter=",", skiprows=1)[:, 13]
+    kb = np.loadtxt(b, delimiter=",", skiprows=1)[:, 13]
     np.testing.assert_allclose(ka, kb, atol=1e-12)
 
 
@@ -335,6 +335,17 @@ def test_bad_initial_data_exits_2(tmp_path, capsys, case, command):
     cfg = write_cfg(tmp_path, BAD_INITIAL_DATA[case][0])
     assert run([command, "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 2
     assert capsys.readouterr().err.startswith(f"{command} failed: bad config: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+@pytest.mark.parametrize("flag, value", [("--length", "inf"), ("--step", "nan"), ("--length", "nan")])
+def test_non_finite_grid_exits_2(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "x.csv"
+    grid = {"--step": "1e-2", "--length": "0.1", flag: value}
+    argv = [command, "--config", write_cfg(tmp_path, FRAME_CFG), "--out", str(out)]
+    assert run(argv + [arg for item in grid.items() for arg in item]) == 2
+    assert capsys.readouterr().err.startswith(f"{command} failed: step and length must be finite")
     assert not out.exists()
 
 

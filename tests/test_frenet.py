@@ -130,3 +130,17 @@ def test_fourth_derivative_matches_dynamics_on_shell():
         np.testing.assert_allclose(
             frame_x4, lagrangian.el_rhs_arclength(j), atol=1e-12
         )
+
+
+def test_curvature_kernel_matches_frame_rows(standard_trace_5):
+    tr = standard_trace_5
+    kappa, kappa_dot, tau = frenet.curvature(tr.xdot, tr.xddot, tr.xdddot)
+    for i, j in enumerate(tr.samples):
+        f = frenet.frenet_frame(j)
+        assert kappa[i] == pytest.approx(f.kappa, abs=1e-15)
+        assert tau[i] == pytest.approx(f.tau, abs=1e-15)
+    # Below the floor the rate and torsion are reported as exact zeros.
+    low = frenet.curvature(tr.xdot, 1e-9 * tr.xddot, tr.xdddot)
+    np.testing.assert_allclose(low[0], 1e-9 * kappa, rtol=1e-15)
+    np.testing.assert_array_equal(low[1], 0.0)
+    np.testing.assert_array_equal(low[2], 0.0)
