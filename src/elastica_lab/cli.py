@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
-from .closed import angular_momentum_j, foltinek_invariant
+from .closed import angular_momentum_j, quadrature_residual, require_regular
 from .frenet import KAPPA_MIN, jet_from_frame
 from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState
 
@@ -195,12 +195,15 @@ def cmd_closed(args):
     kappa0, kappa_dot0, tau0, lam = _frame_scalars(load_config(args.config), "lambda")
     count = _grid(args.step, args.length)
     j = angular_momentum_j(kappa0, tau0)
-    # |c| is the left side of the quadrature relation at s = 0.
-    c_norm = float(np.sqrt(foltinek_invariant(kappa0, kappa_dot0, tau0, lam, 0.0, j)))
+    require_regular(kappa0, j)
+    # |c|^2 is the left side of the quadrature relation at s = 0, so the
+    # residual of row 0 is exactly 0.
+    c_sq = quadrature_residual(kappa0, kappa_dot0, lam, 0.0, j)
     s, kappa, kappa_dot = scalar.integrate_scalar(
         kappa0, kappa_dot0, -0.25 * j, args.step, count, lam
     )
-    residual = foltinek_invariant(kappa, kappa_dot, 0.0, lam, c_norm, j)
+    require_regular(kappa, j)
+    residual = quadrature_residual(kappa, kappa_dot, lam, c_sq, j)
     rows = _write_csv(args.out, "s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual))
     return _wrote(args.out, rows, f"; max |foltinek residual| = {np.max(np.abs(residual)):.3e}")
 

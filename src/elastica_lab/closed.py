@@ -30,6 +30,13 @@ class SingularTorsionError(ValueError):
     """kappa at or below the floor with j != 0, where tau = -j/(4 kappa^2) is singular."""
 
 
+def require_regular(kappa, j):
+    """Raise SingularTorsionError where |kappa| <= KAPPA_MIN with j != 0: there
+    the j^2/(4 kappa^2) term of the quadrature relation is singular."""
+    if j != 0.0 and np.any(np.abs(kappa) <= KAPPA_MIN):
+        raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
+
+
 def quadrature_residual(kappa, kappa_dot, lam, c_sq, j):
     """4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 max(|kappa|, KAPPA_MIN)^2) - |c|^2
     from c_sq = |c|^2, over arrays of kappa and kappa'; the floor lets an audit
@@ -46,8 +53,7 @@ def foltinek_invariant(kappa, kappa_prime, tau, lam, c_norm, j):
     raises instead of flooring kappa.
     """
     kappa = np.asarray(kappa, dtype=float)
-    if j != 0.0 and np.any(np.abs(kappa) <= KAPPA_MIN):
-        raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
+    require_regular(kappa, j)
     return quadrature_residual(kappa, kappa_prime, lam, c_norm**2, j)
 
 

@@ -12,6 +12,7 @@ coisotropic).  On it, the arclength-normalized flow is linear-quadratic:
     dp_xdot/ds = -p_x + 3 <p_x, xdot> xdot,  dp_x/ds = 0,  dt/ds = 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def ham_rhs(ps):
     proportional to p_xdot, which is transverse to xdot on the manifold).
     """
     _require_flow_point(ps)
-    d = _flat_rhs(ps.t, ps.to_array())
+    d = np.array(_flat_rhs(ps.t, ps.to_array()))
     return PhaseDerivative(dt=1.0, dx=d[0:3], dxdot=d[3:6], dp_x=d[6:9], dp_xdot=d[9:12])
 
 
@@ -137,26 +138,28 @@ def separable_invariant(ps):
 
 
 def project_constraints(y):
-    """Pull a flat phase vector back onto the constraint manifold.
+    """Pull a 12-sequence (x, xdot, p_x, p_xdot) back onto the constraint
+    manifold, as a list.
 
     Renormalizes xdot, removes the tangential part of p_xdot, and shifts the
     tangential part of p_x so that h = 0.
     """
-    x, xdot, p_x, p_xdot = y[0:3], y[3:6], y[6:9], y[9:12]
-    xdot = xdot / np.linalg.norm(xdot)
-    p_xdot = p_xdot - np.dot(p_xdot, xdot) * xdot
-    p_x_perp = p_x - np.dot(p_x, xdot) * xdot
-    p_x = p_x_perp - 0.25 * np.dot(p_xdot, p_xdot) * xdot
-    return np.concatenate([x, xdot, p_x, p_xdot])
+    x1, x2, x3, a, b, c, px, py, pz, qx, qy, qz = y
+    v = math.sqrt(a * a + b * b + c * c)
+    a, b, c = a / v, b / v, c / v
+    w = qx * a + qy * b + qz * c
+    qx, qy, qz = qx - w * a, qy - w * b, qz - w * c
+    u = px * a + py * b + pz * c
+    r = 0.25 * (qx * qx + qy * qy + qz * qz)
+    p_x = [px - u * a - r * a, py - u * b - r * b, pz - u * c - r * c]
+    return [x1, x2, x3, a, b, c, *p_x, qx, qy, qz]
 
 
 def _flat_rhs(t, y):
-    xdot = y[3:6]
-    p_x = y[6:9]
-    p_xdot = y[9:12]
-    return np.concatenate(
-        [xdot, 0.5 * p_xdot, np.zeros(3), -p_x + 3.0 * np.dot(p_x, xdot) * xdot]
-    )
+    """The arclength-normalized flow on a 12-sequence (x, xdot, p_x, p_xdot)."""
+    _, _, _, a, b, c, px, py, pz, qx, qy, qz = y
+    u = 3.0 * (px * a + py * b + pz * c)
+    return [a, b, c, 0.5 * qx, 0.5 * qy, 0.5 * qz, 0.0, 0.0, 0.0, u * a - px, u * b - py, u * c - pz]
 
 
 def integrate_flow(ps0, step, count, method="rk4", project=False):

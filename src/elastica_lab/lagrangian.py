@@ -116,7 +116,7 @@ def el_rhs_arclength(j):
     x'''' = -(3/2)|xddot|^2 xddot - 3 <xddot, xdddot> xdot.
     """
     _require_arclength(j)
-    return _flat_rhs(j.t, j.to_array())[9:12]
+    return np.array(_flat_rhs(j.t, j.to_array())[9:12])
 
 
 def central_el_residual(p_x, step):
@@ -162,11 +162,11 @@ def project_arclength(j):
 
 
 def _flat_rhs(t, y):
-    xd = y[3:6]
-    xdd = y[6:9]
-    xddd = y[9:12]
-    x4 = -1.5 * np.dot(xdd, xdd) * xdd - 3.0 * np.dot(xdd, xddd) * xd
-    return np.concatenate([xd, xdd, xddd, x4])
+    """The arclength dynamics on a 12-sequence (x, xdot, xddot, xdddot)."""
+    _, _, _, a, b, c, d, e, f, g, h, i = y
+    bb = -1.5 * (d * d + e * e + f * f)
+    bc = 3.0 * (d * g + e * h + f * i)
+    return [a, b, c, d, e, f, g, h, i, bb * d - bc * a, bb * e - bc * b, bb * f - bc * c]
 
 
 def integrate_elastica(j0, step, count, method="rk4"):

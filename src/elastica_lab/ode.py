@@ -1,5 +1,13 @@
 """Fixed-step RK4 / adaptive RK45 over flat real-vector states, and Simpson and
-Hermite quadrature."""
+Hermite quadrature.
+
+Both integrators march the state as a list of Python floats: `rhs(t, y)` and
+`project(y)` get that list and may return any sequence of numbers.  The
+states are 12-vectors, on which numpy's per-call overhead cost more than the
+arithmetic of a step; the grid of states is still returned as an array.
+"""
+
+from math import isfinite
 
 import numpy as np
 
@@ -13,11 +21,12 @@ class IntegrationError(RuntimeError):
 
 
 def _rk4_step(rhs, t, y, h):
+    hh = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + hh, [v + hh * a for v, a in zip(y, k1)])
+    k3 = rhs(t + hh, [v + hh * b for v, b in zip(y, k2)])
+    k4 = rhs(t + h, [v + h * c for v, c in zip(y, k3)])
+    return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def _march(advance, rhs, initial, step, count, t0, project):
@@ -30,18 +39,19 @@ def _march(advance, rhs, initial, step, count, t0, project):
         raise ValueError("step must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    y = np.asarray(initial, dtype=float).copy()
+    y = np.asarray(initial, dtype=float).tolist()
     ts = t0 + step * np.arange(count + 1)
-    ys = np.empty((count + 1, y.size))
+    ys = np.empty((count + 1, len(y)))
     ys[0] = y
+    t = ts.tolist()
     for i in range(count):
         try:
-            y = advance(rhs, ts[i], y, step)
+            y = advance(rhs, t[i], y, step)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {i}", i) from exc
         except Exception as exc:
             raise IntegrationError(f"rhs failed at step {i}: {exc}", i) from exc
-        if not np.all(np.isfinite(y)):
+        if not all(map(isfinite, y)):
             raise IntegrationError(f"state became non-finite at step {i}", i)
         if project is not None:
             y = project(y)
@@ -52,7 +62,7 @@ def _march(advance, rhs, initial, step, count, t0, project):
 def integrate(rhs, initial, step, count, t0=0.0, project=None):
     """Classical RK4 with fixed step.
 
-    rhs(t, y) -> dy/dt on flat float arrays.  Returns (ts, ys) with
+    rhs(t, y) -> dy/dt on a list of floats.  Returns (ts, ys) with
     ys.shape == (count + 1, len(initial)) at uniform spacing `step`.
     `project(y)`, if given, is applied to every new grid state.
     """
@@ -60,33 +70,43 @@ def integrate(rhs, initial, step, count, t0=0.0, project=None):
 
 
 # Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Weights of the embedded error estimate y5 - y4 = h sum_i (b5_i - b4_i) k_i.
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
 def _dp_step(rhs, t, y, h):
-    k = []
-    for i in range(7):
-        yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
-            yi += h * a * k[j]
-        k.append(rhs(t + _DP_C[i] * h, yi))
-    k = np.array(k)
-    y5 = y + h * (_DP_B5 @ k)
-    y4 = y + h * (_DP_B4 @ k)
-    return y5, np.max(np.abs(y5 - y4))
+    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|).  The
+    last stage state is y5, and the zero weights a72 = b5_2 = b4_2 are left out."""
+    _, c2, c3, c4, c5, c6, c7 = _DP_C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65),
+     (a71, _, a73, a74, a75, a76)) = ([h * a for a in row] for row in _DP_A[1:])
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    k1 = rhs(t, y)
+    k2 = rhs(t + c2 * h, [v + a21 * p for v, p in zip(y, k1)])
+    k3 = rhs(t + c3 * h, [v + a31 * p + a32 * q for v, p, q in zip(y, k1, k2)])
+    k4 = rhs(t + c4 * h, [v + a41 * p + a42 * q + a43 * r for v, p, q, r in zip(y, k1, k2, k3)])
+    k5 = rhs(t + c5 * h, [v + a51 * p + a52 * q + a53 * r + a54 * u
+                          for v, p, q, r, u in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + c6 * h, [v + a61 * p + a62 * q + a63 * r + a64 * u + a65 * w
+                          for v, p, q, r, u, w in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [v + a71 * p + a73 * r + a74 * u + a75 * w + a76 * z
+          for v, p, r, u, w, z in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + c7 * h, y5)
+    err = max(abs(e1 * p + e3 * r + e4 * u + e5 * w + e6 * z + e7 * g)
+              for p, r, u, w, z, g in zip(k1, k3, k4, k5, k6, k7))
+    return y5, h * err
 
 
 # Error tolerances of the adaptive integrator, and the fraction of an output
@@ -104,7 +124,7 @@ def _advance_adaptive(rhs, t, y, span):
         h = min(h, remaining)
         while True:
             y_new, err = _dp_step(rhs, t, y, h)
-            scale = ATOL + RTOL * max(np.max(np.abs(y)), np.max(np.abs(y_new)))
+            scale = ATOL + RTOL * max(max(map(abs, y)), max(map(abs, y_new)))
             if err <= scale:
                 break
             h *= max(0.1, 0.9 * (scale / err) ** 0.2)

@@ -229,6 +229,28 @@ def test_closed_subcommand(tmp_path):
     assert max(residuals) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "frame_data",
+    [{"lambda": 1.0}, {"kappa0": 1.2, "kappa_dot0": -0.4, "tau0": 0.5, "lambda": -0.5}],
+)
+def test_closed_residual_is_exactly_zero_at_the_start(tmp_path, frame_data):
+    # |c|^2 is the left side of the quadrature relation at s = 0; taking its
+    # square root and squaring it back left a roundoff residual in row 0.
+    cfg = write_cfg(tmp_path, dict(FRAME_CFG, **frame_data))
+    out = tmp_path / "closed.csv"
+    assert run(["closed", "--config", cfg, "--out", str(out), "--step", "1e-3", "--length", "0.1"]) == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1)[0, 3] == 0.0
+
+
+def test_closed_fails_where_kappa_reaches_the_floor_with_twist(tmp_path, capsys):
+    # j = -4 kappa0^2 tau0 != 0 and kappa falls through KAPPA_MIN within the run.
+    cfg = write_cfg(tmp_path, {"kappa0": 2e-8, "kappa_dot0": -1.0, "tau0": 1.0, "lambda": 1.0})
+    out = tmp_path / "closed.csv"
+    assert run(["closed", "--config", cfg, "--out", str(out), "--step", "1e-9", "--length", "1e-7"]) == 3
+    assert "singular" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_long_drift_exits_3(tmp_path, capsys):
     # Direct integration leaves the arclength submanifold near s = 17.6 at
     # this step; the watchdog must fail the run and write nothing.

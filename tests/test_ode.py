@@ -37,12 +37,11 @@ def test_rhs_failure_reports_step_index():
     assert err.value.step_index == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_state_detected():
     def rhs(t, y):
-        return y * 1e200
+        return [v * 1e200 for v in y]
 
-    with pytest.raises(ode.IntegrationError):
+    with pytest.raises(ode.IntegrationError, match="non-finite"):
         ode.integrate(rhs, np.array([1.0]), 1.0, 5)
 
 
@@ -67,6 +66,19 @@ def test_rk45_matches_exponential_tightly():
     ts, ys = ode.integrate_rk45(lambda t, y: y, np.array([1.0]), 0.1, 10)
     assert ts.shape == (11,)
     assert abs(ys[-1, 0] - np.e) <= 1e-9
+
+
+def test_dp_step_orders():
+    # On y' = y from 1 the local error of y5 falls as h^6 and the embedded
+    # estimate h max|y5 - y4| as h^5; a mistyped stage combination breaks both.
+    hs = [0.2, 0.1, 0.05, 0.025]
+    local, estimate = [], []
+    for h in hs:
+        y5, err = ode._dp_step(lambda t, y: y, 0.0, [1.0], h)
+        local.append(abs(y5[0] - np.exp(h)))
+        estimate.append(err)
+    assert abs(ode.convergence_slope(hs, local) - 6.0) <= 0.2
+    assert abs(ode.convergence_slope(hs, estimate) - 5.0) <= 0.2
 
 
 def test_rk45_rhs_failure():
@@ -106,7 +118,7 @@ def test_rk45_gives_up_loudly():
 @pytest.mark.parametrize("integrator", [ode.integrate, ode.integrate_rk45])
 def test_project_hook_applies_to_every_grid_state(integrator):
     # y' = 1 with y halved after each step: y1 = 0.05, y2 = (0.05 + 0.1) / 2.
-    _, ys = integrator(lambda t, y: np.ones_like(y), np.zeros(1), 0.1, 2, project=lambda y: y / 2)
+    _, ys = integrator(lambda t, y: np.ones_like(y), np.zeros(1), 0.1, 2, project=lambda y: [v / 2 for v in y])
     np.testing.assert_allclose(ys[:, 0], [0.0, 0.05, 0.075], rtol=1e-14)
 
 
