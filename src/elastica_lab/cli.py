@@ -14,6 +14,12 @@ Exit codes: 0 success, 1 invariant violation, 2 input error (an unwritable
 Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
 as "<command> failed: <reason>".
 
+The `_COMMANDS` table is the single declaration of the subcommands and their
+options.  `main` builds only the invoked command's parser and falls back to
+the full parser of `build_parser` for top-level help, an unknown command and
+a leftover argument, so every usage, help and error text is the full
+parser's: building all eight parsers was half the time of a short run.
+
 Config is JSON, either a raw jet
     {"x0": [..], "xdot0": [..], "xddot0": [..], "xdddot0": [..]}
 (auto-projected onto the arclength submanifold, with a warning if it was off)
@@ -24,7 +30,8 @@ with finite kappa0 >= 0, kappa_dot0 and tau0 (`closed` also reads "lambda").
 
 Curve traces are CSV with header
     s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau
-and floats at 17 significant digits (lossless round trip).
+and floats at 17 significant digits (lossless round trip); a non-finite
+cell in any written CSV is a numeric failure, and nothing is written.
 """
 
 import argparse
@@ -46,6 +53,7 @@ EXIT_NUMERIC = 3
 TRACE_HEADER = (
     "s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau"
 )
+_CSV_CHUNK = 512  # rows per format call in _write_csv
 
 
 class InputError(Exception):
@@ -108,9 +116,22 @@ def _grid(step, length):
 
 
 def _write_csv(path, header, columns):
-    """Write columns side by side at 17 significant digits; returns the row count."""
+    """Write columns side by side at 17 significant digits; returns the row
+    count.  A non-finite cell raises ode.IntegrationError before the file is
+    opened."""
     table = np.column_stack(columns)
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, col = bad[0]
+        raise ode.IntegrationError(f"non-finite {header.split(',')[col]} in row {row} of {path}")
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        # One format call per chunk: faster than a call per row, and the
+        # chunk's strings stay small next to the table.
+        for start in range(0, len(table), _CSV_CHUNK):
+            part = table[start:start + _CSV_CHUNK]
+            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
     return len(table)
 
 
@@ -227,46 +248,75 @@ def cmd_compare(args):
     return EXIT_OK if sup <= args.tol else EXIT_VIOLATION
 
 
+def _run_options(parser):
+    parser.add_argument("--config", required=True, help="JSON initial-data file")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--step", type=float, default=1e-3)
+    parser.add_argument("--length", type=float, default=10.0)
+    parser.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
+    parser.add_argument("--project", choices=("on", "off"), default="off")
+
+
+def _invariants_options(parser):
+    parser.add_argument("--trace", required=True)
+    parser.add_argument("--report", required=True, help="output JSON path")
+
+
+def _compare_options(parser):
+    parser.add_argument("trace_a")
+    parser.add_argument("trace_b")
+    parser.add_argument("--tol", type=float, default=1e-6)
+
+
+# The one declaration of the subcommands: name -> (handler, help text,
+# function that adds the command's options).
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate the fourth-order arclength dynamics", _run_options),
+    "hamiltonian": (cmd_hamiltonian, "integrate the constrained Hamiltonian flow", _run_options),
+    "reconstruct": (cmd_reconstruct, "scalar reduction + reconstruction", _run_options),
+    "reduce": (cmd_reduce, "curvature/torsion scalar reduction only", _run_options),
+    "closed": (cmd_closed, "length-constrained scalar run + quadrature residual", _run_options),
+    "invariants": (cmd_invariants, "audit a stored trace", _invariants_options),
+    "compare": (cmd_compare, "sup-norm position discrepancy of two traces", _compare_options),
+}
+
+
+def _declare(parser, name):
+    """Give parser the options and handler of command `name`."""
+    func, _, add_options = _COMMANDS[name]
+    add_options(parser)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="elastica-lab",
         description="Curvature-squared elastic curves as a dynamical system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_run(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON initial-data file")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--length", type=float, default=10.0)
-        p.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-        p.add_argument("--project", choices=("on", "off"), default="off")
-        p.set_defaults(func=func)
-        return p
-
-    add_run("simulate", cmd_simulate, "integrate the fourth-order arclength dynamics")
-    add_run("hamiltonian", cmd_hamiltonian, "integrate the constrained Hamiltonian flow")
-    add_run("reconstruct", cmd_reconstruct, "scalar reduction + reconstruction")
-    add_run("reduce", cmd_reduce, "curvature/torsion scalar reduction only")
-    add_run("closed", cmd_closed, "length-constrained scalar run + quadrature residual")
-
-    p = sub.add_parser("invariants", help="audit a stored trace")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--report", required=True, help="output JSON path")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("compare", help="sup-norm position discrepancy of two traces")
-    p.add_argument("trace_a")
-    p.add_argument("trace_b")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_compare)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv):
+    """The arguments of one invocation.  Only the invoked command's parser is
+    built; it has the prog and options of the full parser's subparser, so its
+    help and error text is the same.  No command, an unknown one, top-level
+    help and a leftover argument go through the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _declare(argparse.ArgumentParser(prog=f"elastica-lab {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     """Run one subcommand; the only place a failure becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (InputError, OSError, ode.IntegrationError, ValueError) as exc:

@@ -91,9 +91,10 @@ def _roots(kappa0, kappa_dot0, c, lam):
     cancelling lam^2.  For c = 0 the cubic factors as u (u^2 - 2 lam u -
     (C^2 - lam^2)): the quadratic's smaller root is the product over the
     larger.  Otherwise u1 < 0 is a simple root, found in trigonometric form
-    and polished by Newton; the pair u2, u3 follows from
-    (u3 - u)(u - u2) = u'^2/(u - u1) at u = kappa0^2, which stays accurate
-    when the pair nearly coincides.
+    and polished by Newton; u3 follows from (u3 - u)(u - u2) = u'^2/(u - u1)
+    at u = kappa0^2, which stays accurate when u2 and u3 nearly coincide, and
+    u2 from the root product u1 u2 u3 = d, since their midpoint less their
+    half-gap cancels to a negative number when u2 is tiny.
     """
     u0 = kappa0 * kappa0
     twist = 4.0 * c * c / u0 if c else 0.0  # j^2 / (4 kappa0^2)
@@ -113,8 +114,8 @@ def _roots(kappa0, kappa_dot0, c, lam):
         if slope != 0.0:
             u1 -= (((u1 - a) * u1 - b) * u1 - d) / slope
     mid = 0.5 * (a - u1)
-    half = math.sqrt((u0 - mid) ** 2 + 4.0 * u0 * kappa_dot0**2 / (u0 - u1))
-    return u1, mid - half, mid + half
+    u3 = mid + math.sqrt((u0 - mid) ** 2 + 4.0 * u0 * kappa_dot0**2 / (u0 - u1))
+    return u1, d / (u1 * u3), u3
 
 
 def integrate_scalar(kappa0, kappa_dot0, c, step, count, lam=0.0):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastica_lab import cli
+from elastica_lab import cli, scalar
 
 from conftest import rotation
 
@@ -309,6 +309,19 @@ def test_closed_at_zero_curvature(tmp_path):
     assert np.max(np.abs(data[:, 3])) <= 1e-12
 
 
+def test_closed_just_above_the_floor_with_twist(tmp_path):
+    # c != 0 is tiny here, and the middle root of the curvature cubic taken
+    # as midpoint less half-gap cancelled to a negative number: every row
+    # after the first was nan, and the run exited 0.
+    cfg = write_cfg(tmp_path, {"kappa0": 1.01e-8, "kappa_dot0": -1e-3, "tau0": 1.0, "lambda": 1.0})
+    out = tmp_path / "closed.csv"
+    assert run(["closed", "--config", cfg, "--out", str(out), "--step", "1e-9", "--length", "1e-7"]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(data))
+    assert data[1, 1] == pytest.approx(1.01e-8 - 1e-3 * 1e-9, rel=1e-9)
+    assert np.max(np.abs(data[:, 3])) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "kappa0, kappa_dot0, length",
     [(1e-3, -1.0, 0.01), (1.0, 0.3, 2.0)],
@@ -401,6 +414,80 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     }[command]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(f"{command} failed: ")
+
+
+@pytest.mark.parametrize("rows", [1, 512, 513])
+def test_csv_writer_matches_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+    table[0, :] = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
+    expected, written = tmp_path / "savetxt.csv", tmp_path / "written.csv"
+    np.savetxt(expected, table, fmt="%.17g", delimiter=",", header="s,a,b,c", comments="")
+    assert cli._write_csv(str(written), "s,a,b,c", table.T) == rows
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def test_non_finite_cell_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def nan_curvature(kappa0, kappa_dot0, c, step, count, lam=0.0):
+        kappa = np.full(count + 1, kappa0)
+        kappa[6:] = np.nan
+        return step * np.arange(count + 1), kappa, np.zeros(count + 1)
+
+    monkeypatch.setattr(scalar, "integrate_scalar", nan_curvature)
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = tmp_path / "scalar.csv"
+    assert run(["reduce", "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 3
+    assert capsys.readouterr().err.startswith("reduce failed: non-finite kappa in row 6 ")
+    assert not out.exists()
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr, namespace) of parsing argv."""
+    try:
+        code, namespace = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, namespace = exc.code, None
+    return (code, *capsys.readouterr(), namespace)
+
+
+VALID_ARGV = [
+    *([command, "--config", "c.json", "--out", "o.csv", "--step", "1e-2", "--length", "0.1",
+       "--method", "rk45", "--project", "on"] for command in RUN_COMMANDS),
+    ["invariants", "--trace", "t.csv", "--report", "r.json"],
+    ["compare", "a.csv", "b.csv", "--tol", "1e-8"],
+]
+PARSE_ERRORS = [
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "simulate"],
+    *([command, "--help"] for command in (*RUN_COMMANDS, "invariants", "compare")),
+    ["simulate", "--out", "o.csv"],
+    ["simulate", "--config", "c.json", "--out", "o.csv", "--method", "euler"],
+    ["hamiltonian", "--config", "c.json", "--out", "o.csv", "--step", "fine"],
+    ["reduce", "--conf", "c.json", "--out", "o.csv"],
+    ["compare", "a.csv"],
+    ["compare", "a.csv", "b.csv", "c.csv"],
+    ["invariants", "-h", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV + PARSE_ERRORS, ids=" ".join)
+def test_command_parser_matches_the_full_parser(capsys, argv):
+    # main builds only the invoked command's parser; every namespace, usage,
+    # help and error text and exit code must be the full parser's.
+    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == full
+
+
+def test_commands_run_without_the_full_parser(tmp_path, monkeypatch):
+    def unused():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", unused)
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    trace = str(tmp_path / "trace.csv")
+    grid = ["--step", "1e-2", "--length", "0.1"]
+    assert run(["simulate", "--config", cfg, "--out", trace] + grid) == 0
+    assert run(["compare", trace, trace]) == 0
+    assert run(["reduce", "--config", cfg, "--out", str(tmp_path / "scalar.csv")] + grid) == 0
 
 
 ROOT = Path(__file__).resolve().parents[1]
