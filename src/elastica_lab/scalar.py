@@ -92,17 +92,19 @@ def _roots(kappa0, kappa_dot0, c, lam):
     (C^2 - lam^2)): the quadratic's smaller root is the product over the
     larger.  Otherwise u1 < 0 is a simple root, found in trigonometric form
     and polished by Newton; u3 follows from (u3 - u)(u - u2) = u'^2/(u - u1)
-    at u = kappa0^2, which stays accurate when u2 and u3 nearly coincide, and
-    u2 from the root product u1 u2 u3 = d, since their midpoint less their
-    half-gap cancels to a negative number when u2 is tiny.
+    at u = kappa0^2, which stays accurate when u2 and u3 nearly coincide.  u2
+    is their midpoint less their half-gap unless that cancels (to a negative
+    number when u2 is tiny); then it is the root product d / (u1 u3), whose
+    tiny u1 and d are both accurate in relative terms.  Where c * c
+    underflows (d = 0) the cubic factors as for c = 0.
     """
     u0 = kappa0 * kappa0
     twist = 4.0 * c * c / u0 if c else 0.0  # j^2 / (4 kappa0^2)
     b = 4.0 * kappa_dot0**2 + u0 * (u0 - 2.0 * lam) + twist
-    if c == 0.0:
+    a, d = 2.0 * lam, -4.0 * c * c
+    if d == 0.0:
         big = lam + math.copysign(math.sqrt(4.0 * kappa_dot0**2 + (lam - u0) ** 2), lam)
         return tuple(sorted((0.0, -b / big, big)))
-    a, d = 2.0 * lam, -4.0 * c * c
     # u^3 - a u^2 - b u - d with u = t + a/3 is t^3 + p t + q.
     p = -b - a * a / 3.0
     q = -d - a * b / 3.0 - 2.0 * a**3 / 27.0
@@ -114,8 +116,10 @@ def _roots(kappa0, kappa_dot0, c, lam):
         if slope != 0.0:
             u1 -= (((u1 - a) * u1 - b) * u1 - d) / slope
     mid = 0.5 * (a - u1)
-    u3 = mid + math.sqrt((u0 - mid) ** 2 + 4.0 * u0 * kappa_dot0**2 / (u0 - u1))
-    return u1, d / (u1 * u3), u3
+    half = math.sqrt((u0 - mid) ** 2 + 4.0 * u0 * kappa_dot0**2 / (u0 - u1))
+    u3 = mid + half
+    u2 = mid - half if mid - half >= 0.5 * mid else d / (u1 * u3)
+    return u1, u2, u3
 
 
 def integrate_scalar(kappa0, kappa_dot0, c, step, count, lam=0.0):

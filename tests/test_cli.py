@@ -322,6 +322,20 @@ def test_closed_just_above_the_floor_with_twist(tmp_path):
     assert np.max(np.abs(data[:, 3])) <= 1e-15
 
 
+@pytest.mark.parametrize("tau0", [1e-170, 1e-40])
+def test_closed_with_a_tiny_twist_keeps_the_middle_root(tmp_path, tau0):
+    # Here the two larger roots of the curvature cubic are 0.8 and 1.2 and
+    # the smallest is about -c^2 (0 once c * c underflows), so the middle
+    # root must not come from the root product over the tiny one.
+    cfg = write_cfg(tmp_path, {"kappa0": 1.0, "kappa_dot0": 0.1, "tau0": tau0, "lambda": 1.0})
+    out = tmp_path / "closed.csv"
+    assert run(["closed", "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "10.0"]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.sqrt(0.8) - 1e-12 <= data[:, 1].min() <= np.sqrt(0.8) + 1e-6
+    assert np.sqrt(1.2) - 1e-6 <= data[:, 1].max() <= np.sqrt(1.2) + 1e-12
+    assert np.max(np.abs(data[:, 3])) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "kappa0, kappa_dot0, length",
     [(1e-3, -1.0, 0.01), (1.0, 0.3, 2.0)],
