@@ -93,7 +93,11 @@ def initial_jet(cfg):
             kappa0, kappa_dot0, tau0 = _frame_scalars(cfg)
             x0 = cfg.get("x0", [0.0, 0.0, 0.0])
             frame = cfg.get("frame", "standard")
-            T, N, B = STANDARD_FRAME if frame == "standard" else frame
+            if frame == "standard":
+                frame = STANDARD_FRAME
+            elif not (isinstance(frame, (list, tuple)) and len(frame) == 3):
+                raise InputError(f'bad config: frame must be "standard" or three rows [T, N, B], not {frame!r}')
+            T, N, B = frame
             f = FrenetFrame(T=T, N=N, B=B, kappa=kappa0, tau=tau0)
             if kappa0 <= KAPPA_MIN:
                 return JetState(0.0, x0, f.T, np.zeros(3), np.zeros(3)), False
@@ -239,6 +243,8 @@ def cmd_invariants(args):
 
 
 def cmd_compare(args):
+    if not args.tol >= 0.0:
+        raise InputError(f"tol must be >= 0, not {args.tol}")
     trace_a, trace_b = read_trace(args.trace_a), read_trace(args.trace_b)
     try:
         sup = diagnostics.position_discrepancy(trace_a, trace_b)

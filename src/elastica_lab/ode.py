@@ -5,9 +5,21 @@ Both integrators march the state as a list of Python floats: `rhs(t, y)` and
 `project(y)` get that list and may return any sequence of numbers.  The
 states are 12-vectors, on which numpy's per-call overhead cost more than the
 arithmetic of a step; the grid of states is still returned as an array.
+
+A step is generated from its Butcher tableau (Hairer, Norsett & Wanner,
+Solving ODEs I, II.1 and II.5) as straight-line code on the n unpacked
+floats: no loops, no zip, no per-step coefficient lists.  Each (tableau, n)
+kernel is compiled on first use, under a name such as `<ode kernel dp5 n=12>`,
+and cached for the life of the process.  It keeps the operation order of the
+loop form it replaced, so the grids are bit-identical: RK4 ends with
+y + h / 6 * (k1 + 2 k2 + 2 k3 + k4), and Dormand-Prince scales its
+coefficients by h once per substep and sums its error terms in stage order.
 """
 
+import linecache
+from functools import cache, partial
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,20 +32,119 @@ class IntegrationError(RuntimeError):
         self.step_index = step_index
 
 
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta method: nodes c, the rows of A, and the output
+    y + h / divisor * sum_i b_i k_i, or with b None the last stage's state.
+    Error weights e, if given, add the estimate h max|sum_i e_i k_i|."""
+
+    name: str
+    c: tuple
+    a: tuple
+    b: tuple | None
+    divisor: float
+    e: tuple | None
+
+
+_RK4 = _Tableau("rk4", (0.0, 0.5, 0.5, 1.0), ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+                (1.0, 2.0, 2.0, 1.0), 6.0, None)
+
+# Dormand-Prince 5(4): the last row of A is the fifth-order weights, so y5 is
+# the stage-7 state; the error weights are b5 - b4.
+_DP_A7 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP5 = _Tableau(
+    "dp5",
+    (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        _DP_A7,
+    ),
+    None,
+    1.0,
+    tuple(b5 - b4 for b5, b4 in zip(_DP_A7 + (0.0,), _DP_B4)),
+)
+
+
+def _weighted(weights, stages, i):
+    """sum_j w_j k_j[i] as source: zero weights left out, unit ones bare."""
+    return " + ".join(f"{k}_{i}" if w == 1.0 else f"{w!r} * {k}_{i}" for w, k in zip(weights, stages) if w)
+
+
+def _kernel_source(tableau, n):
+    """Source of `step(rhs, t, y, h)` for `tableau` on n-vectors, written out
+    as straight-line code on n unpacked floats."""
+    scaled = {1.0: "h"}  # coefficient -> local holding h * coefficient
+    prologue = []
+
+    def times_h(v):
+        if v not in scaled:
+            scaled[v] = f"h{len(scaled)}"
+            prologue.append(f"    {scaled[v]} = h * {v!r}")
+        return scaled[v]
+
+    def names(prefix):
+        return ", ".join(f"{prefix}_{i}" for i in range(n)) + ","
+
+    body = [f"    {names('y')} = y"]
+    stages = [f"k{s}" for s in range(1, len(tableau.c) + 1)]
+    for s, (node, row) in enumerate(zip(tableau.c, tableau.a)):
+        if s == 0:
+            state = "y"
+        else:
+            state = "[" + ", ".join(
+                f"y_{i}" + "".join(f" + {times_h(w)} * {k}_{i}" for w, k in zip(row, stages) if w)
+                for i in range(n)) + "]"
+        if tableau.b is None and s == len(tableau.c) - 1:
+            body.append(f"    z = {state}")
+            state = "z"
+        time = f"t + {times_h(node)}" if node else "t"
+        body.append(f"    {names(stages[s])} = rhs({time}, {state})")
+    if tableau.b is None:
+        out = "z"
+    else:
+        prologue.append(f"    hb = h / {tableau.divisor!r}")
+        out = "[" + ", ".join(f"y_{i} + hb * ({_weighted(tableau.b, stages, i)})"
+                              for i in range(n)) + "]"
+    if tableau.e is not None:
+        terms = [f"abs({_weighted(tableau.e, stages, i)})" for i in range(n)]
+        out += f", h * {terms[0] if n == 1 else 'max(' + ', '.join(terms) + ')'}"
+    return "\n".join(["def step(rhs, t, y, h):", *prologue, *body, f"    return {out}", ""])
+
+
+@cache
+def _kernel(tableau, n):
+    """The step of `tableau` on n-vectors, compiled on first use and cached
+    for the life of the process."""
+    filename = f"<ode kernel {tableau.name} n={n}>"
+    source = _kernel_source(tableau, n)
+    # Registered so that a traceback through the kernel shows its source line.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["step"]
+
+
 def _rk4_step(rhs, t, y, h):
-    hh = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + hh, [v + hh * a for v, a in zip(y, k1)])
-    k3 = rhs(t + hh, [v + hh * b for v, b in zip(y, k2)])
-    k4 = rhs(t + h, [v + h * c for v, c in zip(y, k3)])
-    return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    """One classical RK4 step."""
+    return _kernel(_RK4, len(y))(rhs, t, y, h)
 
 
-def _march(advance, rhs, initial, step, count, t0, project):
+def _dp_step(rhs, t, y, h):
+    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|)."""
+    return _kernel(_DP5, len(y))(rhs, t, y, h)
+
+
+def _march(tableau, adaptive, rhs, initial, step, count, t0, project):
     """The output-grid loop shared by both integrators.
 
-    advance(rhs, t, y, step) -> y one output interval later.  `project`, if
-    given, maps each new finite state to the state stored and marched on.
+    Each output interval is one step of `tableau`, or with `adaptive` as many
+    error-controlled substeps as it takes.  `project`, if given, maps each new
+    finite state to the state stored and marched on.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -44,6 +155,9 @@ def _march(advance, rhs, initial, step, count, t0, project):
     ys = np.empty((count + 1, len(y)))
     ys[0] = y
     t = ts.tolist()
+    advance = _kernel(tableau, len(y))
+    if adaptive:
+        advance = partial(_advance_adaptive, advance)
     for i in range(count):
         try:
             y = advance(rhs, t[i], y, step)
@@ -66,47 +180,7 @@ def integrate(rhs, initial, step, count, t0=0.0, project=None):
     ys.shape == (count + 1, len(initial)) at uniform spacing `step`.
     `project(y)`, if given, is applied to every new grid state.
     """
-    return _march(_rk4_step, rhs, initial, step, count, t0, project)
-
-
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-# Weights of the embedded error estimate y5 - y4 = h sum_i (b5_i - b4_i) k_i.
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-
-
-def _dp_step(rhs, t, y, h):
-    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|).  The
-    last stage state is y5, and the zero weights a72 = b5_2 = b4_2 are left out."""
-    _, c2, c3, c4, c5, c6, c7 = _DP_C
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65),
-     (a71, _, a73, a74, a75, a76)) = ([h * a for a in row] for row in _DP_A[1:])
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
-    k1 = rhs(t, y)
-    k2 = rhs(t + c2 * h, [v + a21 * p for v, p in zip(y, k1)])
-    k3 = rhs(t + c3 * h, [v + a31 * p + a32 * q for v, p, q in zip(y, k1, k2)])
-    k4 = rhs(t + c4 * h, [v + a41 * p + a42 * q + a43 * r for v, p, q, r in zip(y, k1, k2, k3)])
-    k5 = rhs(t + c5 * h, [v + a51 * p + a52 * q + a53 * r + a54 * u
-                          for v, p, q, r, u in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + c6 * h, [v + a61 * p + a62 * q + a63 * r + a64 * u + a65 * w
-                          for v, p, q, r, u, w in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [v + a71 * p + a73 * r + a74 * u + a75 * w + a76 * z
-          for v, p, r, u, w, z in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + c7 * h, y5)
-    err = max(abs(e1 * p + e3 * r + e4 * u + e5 * w + e6 * z + e7 * g)
-              for p, r, u, w, z, g in zip(k1, k3, k4, k5, k6, k7))
-    return y5, h * err
+    return _march(_RK4, False, rhs, initial, step, count, t0, project)
 
 
 # Error tolerances of the adaptive integrator, and the fraction of an output
@@ -116,14 +190,14 @@ ATOL = 1e-12
 MIN_SUBSTEP = 1e-14
 
 
-def _advance_adaptive(rhs, t, y, span):
+def _advance_adaptive(dp_step, rhs, t, y, span):
     """Advance exactly `span` with embedded-error-controlled substeps."""
     remaining = span
     h = span
     while remaining > 0.0:
         h = min(h, remaining)
         while True:
-            y_new, err = _dp_step(rhs, t, y, h)
+            y_new, err = dp_step(rhs, t, y, h)
             scale = ATOL + RTOL * max(max(map(abs, y)), max(map(abs, y_new)))
             if err <= scale:
                 break
@@ -145,7 +219,7 @@ def integrate_rk45(rhs, initial, step, count, t0=0.0, project=None):
     Raises IntegrationError when a rejected substep falls to MIN_SUBSTEP of
     `step` or below.
     """
-    return _march(_advance_adaptive, rhs, initial, step, count, t0, project)
+    return _march(_DP5, True, rhs, initial, step, count, t0, project)
 
 
 def simpson(samples, step):

@@ -150,6 +150,20 @@ def test_compare_over_tolerance_exits_1(tmp_path):
     assert run(["compare", a, b, "--tol", "1e-6"]) == 1
 
 
+@pytest.mark.parametrize("tol, code", [("nan", 2), ("-1", 2), ("inf", 0)])
+def test_compare_tolerance_must_be_non_negative(tmp_path, capsys, tol, code):
+    # Two different traces: a nonsense tolerance must not read as a violation.
+    a = str(tmp_path / "a.csv")
+    b = str(tmp_path / "b.csv")
+    run(["simulate", "--config", write_cfg(tmp_path, FRAME_CFG), "--out", a, "--step", "1e-2", "--length", "0.5"])
+    run(["simulate", "--config", write_cfg(tmp_path, dict(FRAME_CFG, tau0=0.0), "p.json"), "--out", b,
+         "--step", "1e-2", "--length", "0.5"])
+    capsys.readouterr()
+    assert run(["compare", a, b, "--tol", tol]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("compare failed: tol must be >= 0")
+
+
 def test_raw_jet_config_is_projected(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -183,6 +197,15 @@ def test_explicit_frame_rows(tmp_path):
 def test_bad_frame_rows_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, dict(FRAME_CFG, frame=[[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("frame", ["Standard", "", 3, None, [[1, 0, 0], [0, 1, 0]]])
+def test_frame_neither_standard_nor_three_rows_exits_2(tmp_path, capsys, frame):
+    cfg = write_cfg(tmp_path, dict(FRAME_CFG, frame=frame))
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('simulate failed: bad config: frame must be "standard" or three rows')
+    assert repr(frame) in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastica_lab import ode
+from elastica_lab import cli, hamiltonian, lagrangian, ode
 
 
 def test_constant_flow():
@@ -120,6 +120,113 @@ def test_project_hook_applies_to_every_grid_state(integrator):
     # y' = 1 with y halved after each step: y1 = 0.05, y2 = (0.05 + 0.1) / 2.
     _, ys = integrator(lambda t, y: np.ones_like(y), np.zeros(1), 0.1, 2, project=lambda y: [v / 2 for v in y])
     np.testing.assert_allclose(ys[:, 0], [0.0, 0.05, 0.075], rtol=1e-14)
+
+
+# The list-comprehension steppers the generated kernels replaced, kept as
+# references: the kernels must reproduce them bit for bit.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+
+
+def _rk4_step(rhs, t, y, h):
+    hh = 0.5 * h
+    k1 = rhs(t, y)
+    k2 = rhs(t + hh, [v + hh * a for v, a in zip(y, k1)])
+    k3 = rhs(t + hh, [v + hh * b for v, b in zip(y, k2)])
+    k4 = rhs(t + h, [v + h * c for v, c in zip(y, k3)])
+    return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _dp_step(rhs, t, y, h):
+    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|).  The
+    last stage state is y5, and the zero weights a72 = b5_2 = b4_2 are left out."""
+    _, c2, c3, c4, c5, c6, c7 = _DP_C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65),
+     (a71, _, a73, a74, a75, a76)) = ([h * a for a in row] for row in _DP_A[1:])
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    k1 = rhs(t, y)
+    k2 = rhs(t + c2 * h, [v + a21 * p for v, p in zip(y, k1)])
+    k3 = rhs(t + c3 * h, [v + a31 * p + a32 * q for v, p, q in zip(y, k1, k2)])
+    k4 = rhs(t + c4 * h, [v + a41 * p + a42 * q + a43 * r for v, p, q, r in zip(y, k1, k2, k3)])
+    k5 = rhs(t + c5 * h, [v + a51 * p + a52 * q + a53 * r + a54 * u
+                          for v, p, q, r, u in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + c6 * h, [v + a61 * p + a62 * q + a63 * r + a64 * u + a65 * w
+                          for v, p, q, r, u, w in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [v + a71 * p + a73 * r + a74 * u + a75 * w + a76 * z
+          for v, p, r, u, w, z in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + c7 * h, y5)
+    err = max(abs(e1 * p + e3 * r + e4 * u + e5 * w + e6 * z + e7 * g)
+              for p, r, u, w, z, g in zip(k1, k3, k4, k5, k6, k7))
+    return y5, h * err
+
+
+_JET0 = cli.initial_jet({"kappa0": 1.0, "kappa_dot0": 0.3, "tau0": 0.2})[0]
+FLOWS = {
+    "lagrangian": (lagrangian._flat_rhs, _JET0.to_array(), None),
+    "hamiltonian": (hamiltonian._flat_rhs, hamiltonian.legendre(_JET0).to_array(), None),
+    "hamiltonian projected": (hamiltonian._flat_rhs, hamiltonian.legendre(_JET0).to_array(),
+                              hamiltonian.project_constraints),
+}
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_kernels_match_the_loop_steppers_bit_for_bit(flow):
+    # 200 steps of random size along each flow: every state, and the
+    # Dormand-Prince error estimate, must be the same float.
+    rhs, y0, project = FLOWS[flow]
+    rng = np.random.default_rng(12)
+    for reference, kernel in ((_rk4_step, ode._rk4_step), (_dp_step, ode._dp_step)):
+        t, y = 0.3, y0.tolist()
+        for h in rng.uniform(1e-4, 0.2, 200):
+            expected, got = reference(rhs, t, y, h), kernel(rhs, t, y, h)
+            assert got == expected
+            y = got[0] if reference is _dp_step else got
+            if project is not None:
+                y = project(y)
+            t += h
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_rk4_grid_matches_the_loop_stepper(flow):
+    rhs, y0, project = FLOWS[flow]
+    ts, ys = ode.integrate(rhs, y0, 1e-2, 200, t0=0.5, project=project)
+    y = y0.tolist()
+    for i in range(200):
+        y = _rk4_step(rhs, ts[i], y, 1e-2)
+        if project is not None:
+            y = project(y)
+        assert ys[i + 1].tolist() == y
+
+
+def test_kernels_on_a_scalar_state_with_array_rhs():
+    def rhs(t, y):
+        return np.array([np.sin(t) - 0.5 * y[0]])
+
+    rng = np.random.default_rng(1)
+    for h in rng.uniform(1e-3, 0.5, 50):
+        y = [float(rng.normal())]
+        assert ode._rk4_step(rhs, 1.0, y, h) == _rk4_step(rhs, 1.0, y, h)
+        assert ode._dp_step(rhs, 1.0, y, h) == _dp_step(rhs, 1.0, y, h)
+
+
+def test_kernel_is_built_once_per_tableau_and_dimension():
+    ode._kernel.cache_clear()
+    for _ in range(2):
+        ode.integrate_rk45(lambda t, y: [-v for v in y], np.ones(3), 0.1, 4)
+    info = ode._kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert ode._kernel(ode._DP5, 3).__code__.co_filename == "<ode kernel dp5 n=3>"
 
 
 def test_simpson_constant():
