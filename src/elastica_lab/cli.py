@@ -287,9 +287,25 @@ _COMMANDS = {
 }
 
 
+class _NegativeNumbers:
+    """Stands in for argparse's negative-number pattern, which knows only -12
+    and -.5: any argument that float() reads, such as -1e-3 or -inf, is a
+    value, so `--step -1e-3` reaches the command's own check instead of
+    "expected one argument".  No option string of the lab reads as a float."""
+
+    @staticmethod
+    def match(arg):
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return True
+
+
 def _declare(parser, name):
     """Give parser the options and handler of command `name`."""
     func, _, add_options = _COMMANDS[name]
+    parser._negative_number_matcher = _NegativeNumbers
     add_options(parser)
     parser.set_defaults(func=func)
     return parser

@@ -155,11 +155,15 @@ def project_constraints(y):
     return [x1, x2, x3, a, b, c, *p_x, qx, qy, qz]
 
 
-def _flat_rhs(t, y):
-    """The arclength-normalized flow on a 12-sequence (x, xdot, p_x, p_xdot)."""
-    _, _, _, a, b, c, px, py, pz, qx, qy, qz = y
-    u = 3.0 * (px * a + py * b + pz * c)
-    return [a, b, c, 0.5 * qx, 0.5 * qy, 0.5 * qz, 0.0, 0.0, 0.0, u * a - px, u * b - py, u * c - pz]
+# The arclength-normalized flow on a 12-vector (x, xdot, p_x, p_xdot), with
+# u = 3 <p_x, xdot>.  dx/ds is a bare copy of xdot, which the generated march
+# aliases, and dp_x/ds is exactly 0.0, whose terms it drops.
+_flat_rhs = ode.Field(
+    "hamiltonian", 12,
+    ("u = 3.0 * (y6 * y3 + y7 * y4 + y8 * y5)",),
+    ("y3", "y4", "y5", "0.5 * y9", "0.5 * y10", "0.5 * y11", "0.0", "0.0", "0.0",
+     "u * y3 - y6", "u * y4 - y7", "u * y5 - y8"),
+)
 
 
 def integrate_flow(ps0, step, count, method="rk4", project=False):

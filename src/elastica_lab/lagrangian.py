@@ -161,12 +161,16 @@ def project_arclength(j):
     return JetState(j.t, j.x, t_hat, xdd, xddd)
 
 
-def _flat_rhs(t, y):
-    """The arclength dynamics on a 12-sequence (x, xdot, xddot, xdddot)."""
-    _, _, _, a, b, c, d, e, f, g, h, i = y
-    bb = -1.5 * (d * d + e * e + f * f)
-    bc = 3.0 * (d * g + e * h + f * i)
-    return [a, b, c, d, e, f, g, h, i, bb * d - bc * a, bb * e - bc * b, bb * f - bc * c]
+# The arclength dynamics on a 12-vector (x, xdot, xddot, xdddot): the fourth
+# derivative is bb xddot - bc xdot with bb = -(3/2)|xddot|^2 and
+# bc = 3 <xddot, xdddot>.  The first nine derivatives are bare copies, which
+# the generated march turns into name aliases with no code.
+_flat_rhs = ode.Field(
+    "lagrangian", 12,
+    ("bb = -1.5 * (y6 * y6 + y7 * y7 + y8 * y8)", "bc = 3.0 * (y6 * y9 + y7 * y10 + y8 * y11)"),
+    ("y3", "y4", "y5", "y6", "y7", "y8", "y9", "y10", "y11",
+     "bb * y6 - bc * y3", "bb * y7 - bc * y4", "bb * y8 - bc * y5"),
+)
 
 
 def integrate_elastica(j0, step, count, method="rk4"):

@@ -1,24 +1,42 @@
 """Fixed-step RK4 / adaptive RK45 over flat real-vector states, and Simpson and
 Hermite quadrature.
 
-Both integrators march the state as a list of Python floats: `rhs(t, y)` and
-`project(y)` get that list and may return any sequence of numbers.  The
+Both integrators march the state as n Python floats: `rhs(t, y)` and
+`project(y)` get it as a list and may return any sequence of numbers.  The
 states are 12-vectors, on which numpy's per-call overhead cost more than the
 arithmetic of a step; the grid of states is still returned as an array.
 
-A step is generated from its Butcher tableau (Hairer, Norsett & Wanner,
-Solving ODEs I, II.1 and II.5) as straight-line code on the n unpacked
-floats: no loops, no zip, no per-step coefficient lists.  Each (tableau, n)
-kernel is compiled on first use, under a name such as `<ode kernel dp5 n=12>`,
-and cached for the life of the process.  It keeps the operation order of the
-loop form it replaced, so the grids are bit-identical: RK4 ends with
-y + h / 6 * (k1 + 2 k2 + 2 k3 + k4), and Dormand-Prince scales its
-coefficients by h once per substep and sums its error terms in stage order.
+A vector field can be declared as a `Field(name, n, body, out)`: `body`
+assigns temporaries and `out` holds the n derivative expressions, all over
+y0 ... y{n-1} (and t) as straight-line source.  A Field is callable as
+field(t, y), through a function compiled from that source on first call.
+
+Each integrator runs one generated march per (Butcher tableau, field)
+(Hairer, Norsett & Wanner, Solving ODEs I, II.1, II.4 and II.5): one Python
+function that holds the state in n locals across the whole output grid and
+writes every stage of every step out in full, with the field inlined.  Its
+temporaries are renamed per stage; a derivative that is a bare yj is an
+alias of that stage-state name, with no code; a 0.0 derivative drops its
+terms from every sum; and a stage-state component is computed only if the
+field reads it or it is the returned state.  The fixed step hoists its
+h * a_ij products out of the loop, and the Dormand-Prince controller is
+written out inline.  Any other callable is the field that reads every
+component and takes its derivatives from one rhs(t + c h, [...]) call; its
+times are those of the output grid and, within an output interval, t += h.
+A march is compiled on first use, under a name such as
+`<ode march dp5 hamiltonian>`, and cached for the life of the process.
+
+The generated code keeps the operation order of the loop form it replaced,
+so the grids are bit-identical: RK4 ends with y + h / 6 * (k1 + 2 k2 + 2 k3
++ k4), and Dormand-Prince scales its coefficients by h once per substep and
+sums its error terms in stage order.  A dropped 0.0 term can change only the
+sign of a component that is exactly zero.
 """
 
 import linecache
-from functools import cache, partial
-from math import isfinite
+import re
+from functools import cache, cached_property
+from math import inf, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -32,10 +50,78 @@ class IntegrationError(RuntimeError):
         self.step_index = step_index
 
 
+def _compile(source, filename):
+    """The namespace that defining `source` leaves, with this module's
+    globals.  The source is registered with linecache, so a traceback
+    through it shows its line."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace
+
+
+def _names(prefix, n):
+    """'p0, p1, ..., p{n-1}'."""
+    return ", ".join(f"{prefix}{i}" for i in range(n))
+
+
+# An identifier in a Field's source.  A pattern string, not a compiled one:
+# nothing is compiled at import.
+_IDENTIFIER = r"\b[A-Za-z_]\w*"
+
+
+def _rename(source, names):
+    """`source` with each identifier in `names` replaced by its value."""
+    return re.sub(_IDENTIFIER, lambda m: names.get(m[0], m[0]), source)
+
+
+class Field:
+    """A vector field y' = f(t, y) on n-vectors, declared as straight-line
+    source: `body` assigns temporaries, one statement each, and `out` holds
+    the n derivative expressions, all over y0 ... y{n-1} and t.
+
+    The integrators write a Field into their generated march; field(t, y)
+    runs a function compiled from the same declaration on first call and
+    returns the derivatives as a list.
+    """
+
+    def __init__(self, name, n, body, out):
+        if len(out) != n:
+            raise ValueError(f"field {name} has {len(out)} derivatives for {n} components")
+        self.name, self.n, self.body, self.out = name, n, tuple(body), tuple(out)
+
+    @cached_property
+    def _parts(self):
+        """(the temporaries, the state components read, whether t is read)."""
+        temps = [name.strip() for line in self.body for name in line.split("=", 1)[0].split(",")]
+        used = set(re.findall(_IDENTIFIER, " ".join(self.body + self.out)))
+        reads = {i for i in range(self.n) if f"y{i}" in used}
+        return [name for name in temps if name], reads, "t" in used
+
+    @cached_property
+    def _function(self):
+        source = "\n".join(["def field(t, y):", f"    {_names('y', self.n)}, = y",
+                            *(f"    {line}" for line in self.body),
+                            f"    return [{', '.join(self.out)}]", ""])
+        return _compile(source, f"<ode field {self.name}>")["field"]
+
+    def __call__(self, t, y):
+        return self._function(t, y)
+
+
+@cache
+def _opaque(n):
+    """Any callable rhs(t, y) on n-vectors, as the Field that reads every
+    component and takes its derivatives from one call."""
+    return Field(f"n={n}", n, [f"{_names('k', n)}, = rhs(t, [{_names('y', n)}])"],
+                 [f"k{i}" for i in range(n)])
+
+
 class _Tableau(NamedTuple):
     """An explicit Runge-Kutta method: nodes c, the rows of A, and the output
     y + h / divisor * sum_i b_i k_i, or with b None the last stage's state.
-    Error weights e, if given, add the estimate h max|sum_i e_i k_i|."""
+    Error weights e, if given, add the estimate h max|sum_i e_i k_i| and make
+    the march adaptive."""
 
     name: str
     c: tuple
@@ -69,120 +155,6 @@ _DP5 = _Tableau(
     tuple(b5 - b4 for b5, b4 in zip(_DP_A7 + (0.0,), _DP_B4)),
 )
 
-
-def _weighted(weights, stages, i):
-    """sum_j w_j k_j[i] as source: zero weights left out, unit ones bare."""
-    return " + ".join(f"{k}_{i}" if w == 1.0 else f"{w!r} * {k}_{i}" for w, k in zip(weights, stages) if w)
-
-
-def _kernel_source(tableau, n):
-    """Source of `step(rhs, t, y, h)` for `tableau` on n-vectors, written out
-    as straight-line code on n unpacked floats."""
-    scaled = {1.0: "h"}  # coefficient -> local holding h * coefficient
-    prologue = []
-
-    def times_h(v):
-        if v not in scaled:
-            scaled[v] = f"h{len(scaled)}"
-            prologue.append(f"    {scaled[v]} = h * {v!r}")
-        return scaled[v]
-
-    def names(prefix):
-        return ", ".join(f"{prefix}_{i}" for i in range(n)) + ","
-
-    body = [f"    {names('y')} = y"]
-    stages = [f"k{s}" for s in range(1, len(tableau.c) + 1)]
-    for s, (node, row) in enumerate(zip(tableau.c, tableau.a)):
-        if s == 0:
-            state = "y"
-        else:
-            state = "[" + ", ".join(
-                f"y_{i}" + "".join(f" + {times_h(w)} * {k}_{i}" for w, k in zip(row, stages) if w)
-                for i in range(n)) + "]"
-        if tableau.b is None and s == len(tableau.c) - 1:
-            body.append(f"    z = {state}")
-            state = "z"
-        time = f"t + {times_h(node)}" if node else "t"
-        body.append(f"    {names(stages[s])} = rhs({time}, {state})")
-    if tableau.b is None:
-        out = "z"
-    else:
-        prologue.append(f"    hb = h / {tableau.divisor!r}")
-        out = "[" + ", ".join(f"y_{i} + hb * ({_weighted(tableau.b, stages, i)})"
-                              for i in range(n)) + "]"
-    if tableau.e is not None:
-        terms = [f"abs({_weighted(tableau.e, stages, i)})" for i in range(n)]
-        out += f", h * {terms[0] if n == 1 else 'max(' + ', '.join(terms) + ')'}"
-    return "\n".join(["def step(rhs, t, y, h):", *prologue, *body, f"    return {out}", ""])
-
-
-@cache
-def _kernel(tableau, n):
-    """The step of `tableau` on n-vectors, compiled on first use and cached
-    for the life of the process."""
-    filename = f"<ode kernel {tableau.name} n={n}>"
-    source = _kernel_source(tableau, n)
-    # Registered so that a traceback through the kernel shows its source line.
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["step"]
-
-
-def _rk4_step(rhs, t, y, h):
-    """One classical RK4 step."""
-    return _kernel(_RK4, len(y))(rhs, t, y, h)
-
-
-def _dp_step(rhs, t, y, h):
-    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|)."""
-    return _kernel(_DP5, len(y))(rhs, t, y, h)
-
-
-def _march(tableau, adaptive, rhs, initial, step, count, t0, project):
-    """The output-grid loop shared by both integrators.
-
-    Each output interval is one step of `tableau`, or with `adaptive` as many
-    error-controlled substeps as it takes.  `project`, if given, maps each new
-    finite state to the state stored and marched on.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    y = np.asarray(initial, dtype=float).tolist()
-    ts = t0 + step * np.arange(count + 1)
-    ys = np.empty((count + 1, len(y)))
-    ys[0] = y
-    t = ts.tolist()
-    advance = _kernel(tableau, len(y))
-    if adaptive:
-        advance = partial(_advance_adaptive, advance)
-    for i in range(count):
-        try:
-            y = advance(rhs, t[i], y, step)
-        except IntegrationError as exc:
-            raise IntegrationError(f"{exc} at step {i}", i) from exc
-        except Exception as exc:
-            raise IntegrationError(f"rhs failed at step {i}: {exc}", i) from exc
-        if not all(map(isfinite, y)):
-            raise IntegrationError(f"state became non-finite at step {i}", i)
-        if project is not None:
-            y = project(y)
-        ys[i + 1] = y
-    return ts, ys
-
-
-def integrate(rhs, initial, step, count, t0=0.0, project=None):
-    """Classical RK4 with fixed step.
-
-    rhs(t, y) -> dy/dt on a list of floats.  Returns (ts, ys) with
-    ys.shape == (count + 1, len(initial)) at uniform spacing `step`.
-    `project(y)`, if given, is applied to every new grid state.
-    """
-    return _march(_RK4, False, rhs, initial, step, count, t0, project)
-
-
 # Error tolerances of the adaptive integrator, and the fraction of an output
 # step below which a rejected substep makes it give up.
 RTOL = 1e-10
@@ -190,27 +162,193 @@ ATOL = 1e-12
 MIN_SUBSTEP = 1e-14
 
 
-def _advance_adaptive(dp_step, rhs, t, y, span):
-    """Advance exactly `span` with embedded-error-controlled substeps."""
-    remaining = span
-    h = span
-    while remaining > 0.0:
-        h = min(h, remaining)
-        while True:
-            y_new, err = dp_step(rhs, t, y, h)
-            scale = ATOL + RTOL * max(max(map(abs, y)), max(map(abs, y_new)))
-            if err <= scale:
-                break
-            h *= max(0.1, 0.9 * (scale / err) ** 0.2)
-            if h <= MIN_SUBSTEP * span:
-                raise IntegrationError(
-                    f"substep fell to {h:.3g} with error {err:.3g} > {scale:.3g}"
-                )
-        t += h
-        remaining -= h
-        y = y_new
-        h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
-    return y
+def _weighted(weights, stages, i):
+    """sum_j w_j k_j[i] as source: zero weights and zero derivatives left
+    out, unit weights bare; '' if no term is left."""
+    return " + ".join(k[i] if w == 1.0 else f"{w!r} * {k[i]}"
+                      for w, k in zip(weights, stages) if w and k[i])
+
+
+def _max(terms):
+    return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
+
+
+def _step_source(tableau, field):
+    """One step of `tableau` on `field` from the state y_0 ... y_{n-1}:
+    (the h * coefficient lines, the stage lines, the new state's n
+    expressions, the error estimate's expression or None)."""
+    n = field.n
+    temps, reads, reads_time = field._parts
+    scaled = {1.0: "h"}  # coefficient -> local holding h * coefficient
+    products = []
+
+    def times_h(v):
+        if v not in scaled:
+            scaled[v] = f"h{len(scaled)}"
+            products.append(f"{scaled[v]} = h * {v!r}")
+        return scaled[v]
+
+    lines, stages = [], []  # stages[s][i]: name of k_{s+1}[i], None if 0.0
+    state = [f"y_{i}" for i in range(n)]
+    for s, (node, row) in enumerate(zip(tableau.c, tableau.a)):
+        if s:
+            returned = tableau.b is None and s == len(tableau.c) - 1
+            state = []
+            for i in range(n):
+                terms = "".join(f" + {times_h(w)} * {k[i]}" for w, k in zip(row, stages) if w and k[i])
+                if not terms:
+                    state.append(f"y_{i}")
+                elif returned or i in reads:
+                    state.append(f"z{s + 1}_{i}")
+                    lines.append(f"z{s + 1}_{i} = y_{i}{terms}")
+                else:
+                    state.append(None)
+        names = {f"y{i}": state[i] for i in reads}
+        names.update((name, f"_{name}_{s + 1}") for name in temps)
+        if reads_time:
+            names["t"] = f"(t + {times_h(node)})" if node else "t"
+        lines += [_rename(line, names) for line in field.body]
+        derivatives = []
+        for j, expr in enumerate(field.out):
+            if expr == "0.0":
+                derivatives.append(None)
+            elif expr.isidentifier():
+                derivatives.append(_rename(expr, names))
+            else:
+                lines.append(f"k{s + 1}_{j} = {_rename(expr, names)}")
+                derivatives.append(f"k{s + 1}_{j}")
+        stages.append(derivatives)
+    if tableau.b is None:
+        new = state
+    else:
+        products.append(f"hb = h / {tableau.divisor!r}")
+        new = []
+        for i in range(n):
+            terms = _weighted(tableau.b, stages, i)
+            new.append(f"y_{i} + hb * ({terms})" if terms else f"y_{i}")
+    err = None
+    if tableau.e is not None:
+        terms = [f"abs({terms})" for terms in (_weighted(tableau.e, stages, i) for i in range(n)) if terms]
+        err = f"h * {_max(terms)}" if terms else "0.0"
+    return products, lines, new, err
+
+
+def _assign(new):
+    """The statement that makes `new` the state, [] if it already is."""
+    pairs = [(f"y_{i}", v) for i, v in enumerate(new) if v != f"y_{i}"]
+    if not pairs:
+        return []
+    return [", ".join(y for y, _ in pairs) + ", = " + ", ".join(v for _, v in pairs) + ","]
+
+
+def _indent(depth, lines):
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _source(kind, tableau, field):
+    """Source of `step(rhs, t, y, h)`, one step on a list, or of
+    `march(rhs, project, ts, y, step, count, ys)`, the whole grid."""
+    n = field.n
+    products, lines, new, err = _step_source(tableau, field)
+    y_names = _names("y_", n)
+    if kind == "step":
+        out = f"[{', '.join(new)}]" + ("" if err is None else f", {err}")
+        return "\n".join(["def step(rhs, t, y, h):", f"    {y_names}, = y",
+                          *_indent(1, products + lines), f"    return {out}", ""])
+    reads_time = field._parts[2]
+    head = ["def march(rhs, project, ts, y, step, count, ys):", f"    {y_names}, = y"]
+    if reads_time:
+        head.append("    t_grid = ts.tolist()")
+    if err is None:
+        head += ["    h = step", *_indent(1, products)]
+        advance = lines + _assign(new)
+    else:
+        head.append("    give_up = MIN_SUBSTEP * step")
+        advance = [
+            "remaining = h = step",
+            "while remaining > 0.0:",
+            "    if remaining < h:",
+            "        h = remaining",
+            f"    big = {_max([f'abs(y_{i})' for i in range(n)])}",
+            "    while True:",
+            *_indent(2, products + lines),
+            f"        scale = ATOL + RTOL * max(big, {_max([f'abs({v})' for v in new])})",
+            f"        err = {err}",
+            "        if err <= scale:",
+            "            break",
+            "        h *= max(0.1, 0.9 * (scale / err) ** 0.2)",
+            "        if h <= give_up:",
+            '            raise IntegrationError(f"substep fell to {h:.3g} with error {err:.3g} > {scale:.3g}")',
+            *(["    t += h"] if reads_time else []),
+            "    remaining -= h",
+            *_indent(1, _assign(new)),
+            "    h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)",
+        ]
+    finite = " and ".join(f"isfinite(y_{i})" for i in range(n))
+    loop = [
+        "for i in range(count):",
+        *(["    t = t_grid[i]"] if reads_time else []),
+        "    try:",
+        *_indent(2, advance),
+        "    except IntegrationError as exc:",
+        '        raise IntegrationError(f"{exc} at step {i}", i) from exc',
+        "    except Exception as exc:",
+        '        raise IntegrationError(f"rhs failed at step {i}: {exc}", i) from exc',
+        f"    if not ({finite}):",
+        '        raise IntegrationError(f"state became non-finite at step {i}", i)',
+        "    if project is not None:",
+        f"        {y_names}, = project([{y_names}])",
+        f"    ys[i + 1] = ({y_names},)",
+    ]
+    return "\n".join([*head, *_indent(1, loop), ""])
+
+
+@cache
+def _kernel(kind, tableau, field):
+    """The generated `step` or `march` of `tableau` on `field`, compiled on
+    first use and cached for the life of the process."""
+    return _compile(_source(kind, tableau, field), f"<ode {kind} {tableau.name} {field.name}>")[kind]
+
+
+def _rk4_step(rhs, t, y, h):
+    """One classical RK4 step."""
+    return _kernel("step", _RK4, _opaque(len(y)))(rhs, t, y, h)
+
+
+def _dp_step(rhs, t, y, h):
+    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|)."""
+    return _kernel("step", _DP5, _opaque(len(y)))(rhs, t, y, h)
+
+
+def _march(tableau, rhs, initial, step, count, t0, project):
+    """The output grid of both integrators, marched by the generated march
+    of `tableau` on `rhs`: a Field, or any callable.
+
+    Each output interval is one step of `tableau`, or with error weights as
+    many controlled substeps as it takes.  `project`, if given, maps each new
+    finite state to the state stored and marched on.
+    """
+    if not 0.0 < step < inf:
+        raise ValueError("step must be finite and positive")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    y = np.asarray(initial, dtype=float).tolist()
+    ts = t0 + step * np.arange(count + 1)
+    ys = np.empty((count + 1, len(y)))
+    ys[0] = y
+    field = rhs if isinstance(rhs, Field) else _opaque(len(y))
+    _kernel("march", tableau, field)(rhs, project, ts, y, step, count, ys)
+    return ts, ys
+
+
+def integrate(rhs, initial, step, count, t0=0.0, project=None):
+    """Classical RK4 with fixed step.
+
+    rhs(t, y) -> dy/dt on a list of floats, or a Field.  Returns (ts, ys)
+    with ys.shape == (count + 1, len(initial)) at uniform spacing `step`.
+    `project(y)`, if given, is applied to every new grid state.
+    """
+    return _march(_RK4, rhs, initial, step, count, t0, project)
 
 
 def integrate_rk45(rhs, initial, step, count, t0=0.0, project=None):
@@ -219,7 +357,7 @@ def integrate_rk45(rhs, initial, step, count, t0=0.0, project=None):
     Raises IntegrationError when a rejected substep falls to MIN_SUBSTEP of
     `step` or below.
     """
-    return _march(_DP5, True, rhs, initial, step, count, t0, project)
+    return _march(_DP5, rhs, initial, step, count, t0, project)
 
 
 def simpson(samples, step):

@@ -164,6 +164,27 @@ def test_compare_tolerance_must_be_non_negative(tmp_path, capsys, tol, code):
         assert capsys.readouterr().err.startswith("compare failed: tol must be >= 0")
 
 
+NEGATIVE_FLOAT_ARGV = [
+    (["simulate", "--step", "-1e-3"], "simulate failed: step and length must be finite and positive"),
+    (["hamiltonian", "--length", "-inf"], "hamiltonian failed: step and length must be finite and positive"),
+    (["reduce", "--len", "-1.5e1"], "reduce failed: step and length must be finite and positive"),
+    (["compare", "a.csv", "b.csv", "--tol", "-1e-9"], "compare failed: tol must be >= 0, not -1e-09"),
+    (["compare", "a.csv", "b.csv", "--tol", "-inf"], "compare failed: tol must be >= 0, not -inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(a, m, id=" ".join(a)) for a, m in NEGATIVE_FLOAT_ARGV])
+def test_negative_float_options_reach_their_checks(tmp_path, capsys, argv, message):
+    # argparse reads only -12 and -.5 as negative numbers; -1e-3, -inf and
+    # the like must reach the command's check, not fail as a missing value.
+    if argv[0] != "compare":
+        argv = argv + ["--config", write_cfg(tmp_path, FRAME_CFG), "--out", str(tmp_path / "o.csv")]
+    assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_raw_jet_config_is_projected(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -1,7 +1,16 @@
+import linecache
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from elastica_lab import cli, hamiltonian, lagrangian, ode
+from elastica_lab.ode import ATOL, MIN_SUBSTEP, RTOL, IntegrationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_constant_flow():
@@ -226,7 +235,202 @@ def test_kernel_is_built_once_per_tableau_and_dimension():
         ode.integrate_rk45(lambda t, y: [-v for v in y], np.ones(3), 0.1, 4)
     info = ode._kernel.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert ode._kernel(ode._DP5, 3).__code__.co_filename == "<ode kernel dp5 n=3>"
+    assert ode._kernel("march", ode._DP5, ode._opaque(3)).__code__.co_filename == "<ode march dp5 n=3>"
+
+
+@pytest.mark.parametrize("method, name", [("rk4", "<ode march rk4 hamiltonian>"),
+                                          ("rk45", "<ode march dp5 hamiltonian>")])
+def test_each_field_march_is_built_once_under_its_name(method, name):
+    ode._kernel.cache_clear()
+    ps0 = hamiltonian.legendre(_JET0)
+    for project in (False, True):
+        hamiltonian.integrate_flow(ps0, 1e-2, 5, method=method, project=project)
+    info = ode._kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    tableau = ode._RK4 if method == "rk4" else ode._DP5
+    assert ode._kernel("march", tableau, hamiltonian._flat_rhs).__code__.co_filename == name
+
+
+def test_importing_the_cli_compiles_nothing():
+    # A fresh interpreter: building a march or a field function is left to
+    # the first integration, so a command that integrates nothing pays none.
+    probe = (
+        "import linecache\n"
+        "from elastica_lab import cli, hamiltonian, lagrangian, ode\n"
+        "print(ode._kernel.cache_info().currsize, ode._opaque.cache_info().currsize,\n"
+        "      sorted(k for k in linecache.cache if k.startswith('<ode')),\n"
+        "      [sorted(vars(f)) for f in (lagrangian._flat_rhs, hamiltonian._flat_rhs)])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    fields = [["body", "n", "name", "out"]] * 2
+    assert done.stdout.split("\n")[0] == f"0 0 [] {fields}"
+
+
+@pytest.mark.parametrize("integrator", [ode.integrate, ode.integrate_rk45])
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
+def test_step_must_be_finite_and_positive(integrator, step):
+    # A NaN step used to skip every substep of rk45 and return the initial
+    # state on a grid of NaN times.
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        integrator(lambda t, y: y, [1.0], step, 3)
+
+
+# The two flows' right-hand sides as they were written by hand, and the
+# adaptive stepper loop, before the fields were declared as ode.Field and
+# the march generated: the generated code must reproduce them bit for bit.
+def _lagrangian_rhs(t, y):
+    """The arclength dynamics on a 12-sequence (x, xdot, xddot, xdddot)."""
+    _, _, _, a, b, c, d, e, f, g, h, i = y
+    bb = -1.5 * (d * d + e * e + f * f)
+    bc = 3.0 * (d * g + e * h + f * i)
+    return [a, b, c, d, e, f, g, h, i, bb * d - bc * a, bb * e - bc * b, bb * f - bc * c]
+
+
+def _hamiltonian_rhs(t, y):
+    """The arclength-normalized flow on a 12-sequence (x, xdot, p_x, p_xdot)."""
+    _, _, _, a, b, c, px, py, pz, qx, qy, qz = y
+    u = 3.0 * (px * a + py * b + pz * c)
+    return [a, b, c, 0.5 * qx, 0.5 * qy, 0.5 * qz, 0.0, 0.0, 0.0, u * a - px, u * b - py, u * c - pz]
+
+
+def _advance_adaptive(dp_step, rhs, t, y, span):
+    """Advance exactly `span` with embedded-error-controlled substeps."""
+    remaining = span
+    h = span
+    while remaining > 0.0:
+        h = min(h, remaining)
+        while True:
+            y_new, err = dp_step(rhs, t, y, h)
+            scale = ATOL + RTOL * max(max(map(abs, y)), max(map(abs, y_new)))
+            if err <= scale:
+                break
+            h *= max(0.1, 0.9 * (scale / err) ** 0.2)
+            if h <= MIN_SUBSTEP * span:
+                raise IntegrationError(
+                    f"substep fell to {h:.3g} with error {err:.3g} > {scale:.3g}"
+                )
+        t += h
+        remaining -= h
+        y = y_new
+        h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
+    return y
+
+
+def _reference_grid(method, rhs, y0, step, count, project):
+    """The grid of the loop steppers: one loop-form RK4 step, or the loop
+    form of the Dormand-Prince controller, per output interval."""
+    ts = step * np.arange(count + 1)
+    ys = [y0.tolist()]
+    for t in ts[:-1].tolist():
+        if method == "rk4":
+            y = _rk4_step(rhs, t, ys[-1], step)
+        else:
+            y = _advance_adaptive(_dp_step, rhs, t, ys[-1], step)
+        assert all(map(np.isfinite, y))
+        ys.append(y if project is None else project(y))
+    return np.array(ys)
+
+
+FIELDS = [(lagrangian._flat_rhs, _lagrangian_rhs), (hamiltonian._flat_rhs, _hamiltonian_rhs)]
+
+
+@pytest.mark.parametrize("field, reference", FIELDS, ids=["lagrangian", "hamiltonian"])
+def test_field_returns_the_hand_written_floats(field, reference):
+    rng = np.random.default_rng(5)
+    samples = [rng.normal(size=12), rng.normal(scale=1e150, size=12), np.zeros(12), -np.zeros(12),
+               rng.choice([0.0, -0.0, 1e300, -1e300, 2.5], size=12)]
+    samples += [rng.normal(size=12) * rng.choice([0.0, -0.0, 1.0, 1e100], size=12) for _ in range(200)]
+    for y in samples:
+        y = y.tolist()
+        assert list(map(float.hex, field(0.7, y))) == list(map(float.hex, reference(0.7, y)))
+
+
+MARCHES = {
+    "rk4 lagrangian": ("rk4", lagrangian._flat_rhs, _lagrangian_rhs, _JET0.to_array(), None),
+    "rk45 lagrangian": ("rk45", lagrangian._flat_rhs, _lagrangian_rhs, _JET0.to_array(), None),
+    "rk4 hamiltonian": ("rk4", hamiltonian._flat_rhs, _hamiltonian_rhs,
+                        hamiltonian.legendre(_JET0).to_array(), None),
+    "rk45 hamiltonian": ("rk45", hamiltonian._flat_rhs, _hamiltonian_rhs,
+                         hamiltonian.legendre(_JET0).to_array(), None),
+    "rk45 hamiltonian projected": ("rk45", hamiltonian._flat_rhs, _hamiltonian_rhs,
+                                   hamiltonian.legendre(_JET0).to_array(), hamiltonian.project_constraints),
+}
+
+
+@pytest.mark.parametrize("march", MARCHES)
+def test_generated_march_matches_the_reference_loop(march):
+    # 2 000 output steps each: the field written into the march, the same
+    # field as an opaque callable, and the loop steppers on the hand-written
+    # right-hand side give the same grid.
+    method, field, reference, y0, project = MARCHES[march]
+    integrator = ode.integrate if method == "rk4" else ode.integrate_rk45
+    step, count = 1e-2, 2000
+    _, fused = integrator(field, y0, step, count, project=project)
+    _, opaque = integrator(lambda t, y: field(t, y), y0, step, count, project=project)
+    expected = _reference_grid(method, reference, y0, step, count, project)
+    assert np.array_equal(fused, expected)
+    assert np.array_equal(opaque, expected)
+
+
+@pytest.mark.parametrize("jump, y0", [(1.0, [0.0, 3.0]), (-1.0, [5.0, 3.0])])
+def test_rk45_substeps_match_the_reference_controller(jump, y0):
+    # A jump in y0' makes the controller reject, shrink and grow back (after
+    # error estimates of exactly 0 in the first case), and a shrinking |y|
+    # makes the old state set the error scale in the second; every rhs call
+    # of the generated march must come at the time, and with the state, of
+    # the loop-form controller's.
+    def recorder(calls):
+        def rhs(t, y):
+            calls.append((t, *y))
+            return [jump if t > 0.123 else 0.0, -y[0]]
+        return rhs
+
+    got, expected = [], []
+    _, ys = ode.integrate_rk45(recorder(got), y0, 0.1, 4, t0=0.05)
+    y = y0
+    for t in (0.05 + 0.1 * np.arange(4)).tolist():
+        y = _advance_adaptive(_dp_step, recorder(expected), t, y, 0.1)
+    assert len(got) > 4 * 7
+    assert got == expected
+    assert ys[-1].tolist() == y
+
+
+def test_generated_march_aliases_copies_and_drops_zeros():
+    # No code for a bare-copy derivative, none for the terms of a 0.0 one,
+    # and a stage state only where the field reads it or it is returned.
+    def source(tableau, field):
+        return "".join(linecache.getlines(ode._kernel("march", tableau, field).__code__.co_filename))
+
+    lagrangian_rk4 = source(ode._RK4, lagrangian._flat_rhs)
+    hamiltonian_dp5 = source(ode._DP5, hamiltonian._flat_rhs)
+    for s in range(1, 8):
+        for i in range(9):
+            assert f"k{s}_{i} =" not in lagrangian_rk4
+        for i in range(3):
+            assert f"k{s}_{i} =" not in hamiltonian_dp5
+            assert f"k{s}_{i + 6} =" not in hamiltonian_dp5
+            assert f"z{s}_{i} =" not in lagrangian_rk4
+            assert f"z{s}_{i + 6} =" not in hamiltonian_dp5
+        assert f"_bb_{s} =" in lagrangian_rk4 if s <= 4 else f"_u_{s} =" in hamiltonian_dp5
+    assert "z7_0 = " in hamiltonian_dp5  # the returned state
+    assert "rhs(" not in lagrangian_rk4 + hamiltonian_dp5
+
+
+def test_fused_field_that_overflows_is_non_finite_at_its_step():
+    # y' = 1e30 y leaves the float range within a few steps of size 1; the
+    # loop stepper finds the step, and both marches must report it.
+    field = ode.Field("growth", 1, (), ("1e30 * y0",))
+    y = [1.0]
+    for i in range(50):
+        y = _rk4_step(field, 0.0, y, 1.0)
+        if not np.isfinite(y[0]):
+            break
+    assert i > 0
+    for rhs in (field, lambda t, y: field(t, y)):
+        with pytest.raises(ode.IntegrationError, match=f"^state became non-finite at step {i}$") as err:
+            ode.integrate(rhs, [1.0], 1.0, 50)
+        assert err.value.step_index == i
 
 
 def test_simpson_constant():
