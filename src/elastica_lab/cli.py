@@ -259,7 +259,7 @@ def _run_options(parser):
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--step", type=float, default=1e-3)
     parser.add_argument("--length", type=float, default=10.0)
-    parser.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
+    parser.add_argument("--method", choices=tuple(ode.METHODS), default="rk4")
     parser.add_argument("--project", choices=("on", "off"), default="off")
 
 

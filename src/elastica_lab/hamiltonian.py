@@ -174,7 +174,7 @@ def integrate_flow(ps0, step, count, method="rk4", project=False):
     p_t is 0 (the flow keeps p_t constant and the manifold has p_t = 0).
     """
     _require_flow_point(ps0)
-    integrator = ode.integrate if method == "rk4" else ode.integrate_rk45
+    integrator = ode.integrator(method)
     hook = project_constraints if project else None
     _, ys = integrator(_flat_rhs, ps0.to_array(), step, count, t0=ps0.t, project=hook)
     metadata = {"gauge": "arclength", "integrator": method, "projected": bool(project)}

@@ -181,7 +181,7 @@ def integrate_elastica(j0, step, count, method="rk4"):
     defect above ARCLENGTH_TOL raises IntegrationError at its first bad row.
     """
     _require_arclength(j0)
-    integrator = ode.integrate if method == "rk4" else ode.integrate_rk45
+    integrator = ode.integrator(method)
     _, ys = integrator(_flat_rhs, j0.to_array(), step, count, t0=j0.t)
     trace = CurveTrace(step, ys, t0=j0.t, metadata={"gauge": "arclength", "integrator": method})
     defects = np.abs(arclength_conditions(trace.xdot, trace.xddot, trace.xdddot))

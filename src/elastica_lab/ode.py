@@ -26,9 +26,18 @@ times are those of the output grid and, within an output interval, t += h.
 A march is compiled on first use, under a name such as
 `<ode march dp5 hamiltonian>`, and cached for the life of the process.
 
+The Dormand-Prince march carries from one substep to the next what the
+accepted one already computed.  Its stage 7 is f at the new state, so for a
+field that does not read t it becomes the next substep's stage 1 (first
+same as last); stage 1 is evaluated afresh only at the start and after a
+projection.  max|y| is carried from the error scale, the h * a_ij products
+are recomputed only when h changes, and the step-growth factor only when the
+output interval goes on.  A carried value is the same float the loop form
+recomputes from the same operands.
+
 The generated code keeps the operation order of the loop form it replaced,
 so the grids are bit-identical: RK4 ends with y + h / 6 * (k1 + 2 k2 + 2 k3
-+ k4), and Dormand-Prince scales its coefficients by h once per substep and
++ k4), and Dormand-Prince scales each coefficient by the substep's h and
 sums its error terms in stage order.  A dropped 0.0 term can change only the
 sign of a component that is exactly zero.
 """
@@ -175,8 +184,10 @@ def _max(terms):
 
 def _step_source(tableau, field):
     """One step of `tableau` on `field` from the state y_0 ... y_{n-1}:
-    (the h * coefficient lines, the stage lines, the new state's n
-    expressions, the error estimate's expression or None)."""
+    (the h * coefficient lines, the stage lines, how many of those are
+    stage 1's, the new state's n expressions, the error estimate's
+    expression or None, and the pairs (stage 1's name, the last stage's
+    name) of each derivative that stage 1 does not take from the state)."""
     n = field.n
     temps, reads, reads_time = field._parts
     scaled = {1.0: "h"}  # coefficient -> local holding h * coefficient
@@ -218,6 +229,8 @@ def _step_source(tableau, field):
                 lines.append(f"k{s + 1}_{j} = {_rename(expr, names)}")
                 derivatives.append(f"k{s + 1}_{j}")
         stages.append(derivatives)
+        if not s:
+            first = len(lines)
     if tableau.b is None:
         new = state
     else:
@@ -230,15 +243,18 @@ def _step_source(tableau, field):
     if tableau.e is not None:
         terms = [f"abs({terms})" for terms in (_weighted(tableau.e, stages, i) for i in range(n)) if terms]
         err = f"h * {_max(terms)}" if terms else "0.0"
-    return products, lines, new, err
+    state_names = {f"y_{i}" for i in range(n)}
+    carry = [(k1, k) for k1, k in zip(stages[0], stages[-1]) if k1 not in state_names and k1 != k]
+    return products, lines, first, new, err, carry
 
 
-def _assign(new):
-    """The statement that makes `new` the state, [] if it already is."""
-    pairs = [(f"y_{i}", v) for i, v in enumerate(new) if v != f"y_{i}"]
+def _assign(pairs):
+    """The statement that gives each (name, value) pair's name its value,
+    [] if each already has it."""
+    pairs = [(name, v) for name, v in pairs if v != name]
     if not pairs:
         return []
-    return [", ".join(y for y, _ in pairs) + ", = " + ", ".join(v for _, v in pairs) + ","]
+    return [", ".join(name for name, _ in pairs) + ", = " + ", ".join(v for _, v in pairs) + ","]
 
 
 def _indent(depth, lines):
@@ -249,7 +265,7 @@ def _source(kind, tableau, field):
     """Source of `step(rhs, t, y, h)`, one step on a list, or of
     `march(rhs, project, ts, y, step, count, ys)`, the whole grid."""
     n = field.n
-    products, lines, new, err = _step_source(tableau, field)
+    products, lines, first, new, err, carry = _step_source(tableau, field)
     y_names = _names("y_", n)
     if kind == "step":
         out = f"[{', '.join(new)}]" + ("" if err is None else f", {err}")
@@ -259,20 +275,31 @@ def _source(kind, tableau, field):
     head = ["def march(rhs, project, ts, y, step, count, ys):", f"    {y_names}, = y"]
     if reads_time:
         head.append("    t_grid = ts.tolist()")
+    state = [(f"y_{i}", v) for i, v in enumerate(new)]
     if err is None:
         head += ["    h = step", *_indent(1, products)]
-        advance = lines + _assign(new)
+        advance = lines + _assign(state)
     else:
-        head.append("    give_up = MIN_SUBSTEP * step")
+        # With b None the last stage is f at the new state, which is the next
+        # substep's stage 1 unless the field reads t: t steps by h within an
+        # output interval but restarts from the grid's time at the next.
+        carried = tableau.b is None and not reads_time
+        fresh, stages = (lines[:first], lines[first:]) if carried else ([], lines)
+        head += ["    give_up = MIN_SUBSTEP * step", "    fresh = True", "    h_scaled = None"]
         advance = [
-            "remaining = h = step",
-            "while remaining > 0.0:",
-            "    if remaining < h:",
-            "        h = remaining",
+            "if fresh:",
             f"    big = {_max([f'abs(y_{i})' for i in range(n)])}",
+            *_indent(1, fresh),
+            "    fresh = project is not None",
+            "remaining = h = step",
+            "while True:",
             "    while True:",
-            *_indent(2, products + lines),
-            f"        scale = ATOL + RTOL * max(big, {_max([f'abs({v})' for v in new])})",
+            "        if h != h_scaled:",
+            "            h_scaled = h",
+            *_indent(3, products),
+            *_indent(2, stages),
+            f"        big_new = {_max([f'abs({v})' for v in new])}",
+            "        scale = ATOL + RTOL * max(big, big_new)",
             f"        err = {err}",
             "        if err <= scale:",
             "            break",
@@ -281,8 +308,12 @@ def _source(kind, tableau, field):
             '            raise IntegrationError(f"substep fell to {h:.3g} with error {err:.3g} > {scale:.3g}")',
             *(["    t += h"] if reads_time else []),
             "    remaining -= h",
-            *_indent(1, _assign(new)),
+            *_indent(1, _assign(state + (carry if carried else []) + [("big", "big_new")])),
+            "    if remaining <= 0.0:",
+            "        break",
             "    h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)",
+            "    if remaining < h:",
+            "        h = remaining",
         ]
     finite = " and ".join(f"isfinite(y_{i})" for i in range(n))
     loop = [
@@ -358,6 +389,19 @@ def integrate_rk45(rhs, initial, step, count, t0=0.0, project=None):
     `step` or below.
     """
     return _march(_DP5, rhs, initial, step, count, t0, project)
+
+
+# The integrators by method name.  The table holds their names, not the
+# functions, so that a wrapper set on this module under such a name (as a
+# tracer does) is the one a caller gets.
+METHODS = {"rk4": "integrate", "rk45": "integrate_rk45"}
+
+
+def integrator(method):
+    """`integrate` for "rk4", `integrate_rk45` for "rk45"."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}: expected one of {', '.join(map(repr, METHODS))}")
+    return globals()[METHODS[method]]
 
 
 def simpson(samples, step):

@@ -396,6 +396,77 @@ def test_rk45_substeps_match_the_reference_controller(jump, y0):
     assert ys[-1].tolist() == y
 
 
+# A field with a bare temporary as a derivative, whose stage-7 name the march
+# hands to stage 1, and a projection that halves y0, after which stage 1
+# must be evaluated afresh.
+_CUBIC = ode.Field("cubic", 3, ("r = y0 * y0",), ("y1", "0.1 * y2 - y0 * r", "r"))
+
+COARSE = {
+    "lagrangian": (lagrangian._flat_rhs, _lagrangian_rhs, _JET0.to_array(), None),
+    "hamiltonian projected": (hamiltonian._flat_rhs, _hamiltonian_rhs, hamiltonian.legendre(_JET0).to_array(),
+                              hamiltonian.project_constraints),
+    "cubic halved": (_CUBIC, _CUBIC, np.array([1.0, 0.0, 0.0]), lambda y: [0.5 * y[0], y[1], y[2]]),
+}
+
+
+@pytest.mark.parametrize("case", COARSE)
+def test_rk45_march_over_rejected_and_multiple_substeps(case):
+    # At step 0.5 each output interval takes several substeps and some are
+    # rejected: the stage 1, max|y| and h * a_ij that the march carries from
+    # one substep to the next must leave the loop-form controller's grid.
+    field, reference, y0, project = COARSE[case]
+    step, count = 0.5, 10
+    calls = []
+
+    def recorded(t, y):
+        calls.append((t, *y))
+        return field(t, y)
+
+    _, opaque = ode.integrate_rk45(recorded, y0, step, count, project=project)
+    firsts = calls[::7]  # a rejected attempt's stage 1 is repeated by the next
+    rejected = sum(a == b for a, b in zip(firsts, firsts[1:]))
+    assert rejected >= 5
+    assert len(firsts) - rejected >= 5 * count
+    _, fused = ode.integrate_rk45(field, y0, step, count, project=project)
+    expected = _reference_grid("rk45", reference, y0, step, count, project)
+    assert np.array_equal(fused, expected)
+    assert np.array_equal(opaque, expected)
+
+
+# y'' = 0.3 t - y (1 + 0.1 y^2), a declared field that reads t: each output
+# interval starts at its grid time, not at the previous one's t + h, so its
+# stage 1 is never taken from the previous stage 7.
+_FORCED = ode.Field("forced", 2, ("w = 0.3 * t",), ("y1", "w - y0 * (1.0 + 0.1 * y0 * y0)"))
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("step, count", [(1e-2, 2000), (0.5, 40)])
+def test_field_that_reads_t_matches_the_reference_loop(method, step, count):
+    y0 = np.array([1.0, 0.0])
+    _, ys = ode.integrator(method)(_FORCED, y0, step, count)
+    assert np.array_equal(ys, _reference_grid(method, _FORCED, y0, step, count, None))
+
+
+def test_dp_march_carries_stage_1_and_the_state_norm():
+    # Stage 1 of a field that does not read t is evaluated once, before the
+    # substeps, and an accepted substep hands its stage 7 and max|y| on.
+    source = "".join(linecache.getlines(ode._kernel("march", ode._DP5, lagrangian._flat_rhs).__code__.co_filename))
+    assert source.count("_bb_1 =") == 1
+    assert source.index("_bb_1 =") < source.index("while True:")
+    assert "y_11, k1_9, k1_10, k1_11, big, = z7_0, " in source
+    assert ", z7_11, k7_9, k7_10, k7_11, big_new,\n" in source
+
+
+@pytest.mark.parametrize("method", ["RK4", "euler"])
+def test_unknown_method_is_refused(method):
+    # An unknown name used to run rk45 and tag the trace with that name.
+    assert (ode.integrator("rk4"), ode.integrator("rk45")) == (ode.integrate, ode.integrate_rk45)
+    with pytest.raises(ValueError, match=r"unknown method .*: expected one of 'rk4', 'rk45'$"):
+        lagrangian.integrate_elastica(_JET0, 1e-2, 3, method=method)
+    with pytest.raises(ValueError, match=r"unknown method .*: expected one of 'rk4', 'rk45'$"):
+        hamiltonian.integrate_flow(hamiltonian.legendre(_JET0), 1e-2, 3, method=method)
+
+
 def test_generated_march_aliases_copies_and_drops_zeros():
     # No code for a bare-copy derivative, none for the terms of a 0.0 one,
     # and a stage state only where the field reads it or it is returned.
