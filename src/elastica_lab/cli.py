@@ -15,10 +15,13 @@ Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
 as "<command> failed: <reason>".
 
 The `_COMMANDS` table is the single declaration of the subcommands and their
-options.  `main` builds only the invoked command's parser and falls back to
-the full parser of `build_parser` for top-level help, an unknown command and
-a leftover argument, so every usage, help and error text is the full
-parser's: building all eight parsers was half the time of a short run.
+options.  `main` parses with the invoked command's parser alone and falls
+back to the full parser of `build_parser` for top-level help, an unknown
+command and a leftover argument, so every usage, help and error text is the
+full parser's.  A command's parser is built on its first invocation and kept
+for the life of the process: building all eight parsers was half the time of
+a short run, and building even the one was the largest fixed cost of an
+in-process call.
 
 Config is JSON, either a raw jet
     {"x0": [..], "xdot0": [..], "xddot0": [..], "xdddot0": [..]}
@@ -35,6 +38,7 @@ cell in any written CSV is a numeric failure, and nothing is written.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,8 +240,7 @@ def cmd_closed(args):
 def cmd_invariants(args):
     report, ok = diagnostics.invariant_report(read_trace(args.trace))
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote report to {args.report}: {'ok' if ok else 'VIOLATIONS ' + str(report['violations'])}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -322,15 +325,23 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _command_parser(name):
+    """The parser of command `name` alone, built on first use and kept for
+    the life of the process: it has the prog and options of the full
+    parser's subparser, so its help and error text is the same.  Parsing
+    does not change a parser, and every default is an immutable str or
+    float, so one parser serves every invocation."""
+    return _declare(argparse.ArgumentParser(prog=f"elastica-lab {name}"), name)
+
+
 def _parse(argv):
-    """The arguments of one invocation.  Only the invoked command's parser is
-    built; it has the prog and options of the full parser's subparser, so its
-    help and error text is the same.  No command, an unknown one, top-level
-    help and a leftover argument go through the full parser."""
+    """The arguments of one invocation, parsed by the invoked command's
+    parser.  No command, an unknown one, top-level help and a leftover
+    argument go through the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
-        parser = _declare(argparse.ArgumentParser(prog=f"elastica-lab {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:
             return args
     return build_parser().parse_args(argv)

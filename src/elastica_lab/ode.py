@@ -164,11 +164,14 @@ _DP5 = _Tableau(
     tuple(b5 - b4 for b5, b4 in zip(_DP_A7 + (0.0,), _DP_B4)),
 )
 
-# Error tolerances of the adaptive integrator, and the fraction of an output
-# step below which a rejected substep makes it give up.
+# Error tolerances of the adaptive integrator, the fraction of an output
+# step below which a rejected substep makes it give up, and the most
+# accepted substeps one output step may take (more means the field is stiff
+# at this step).
 RTOL = 1e-10
 ATOL = 1e-12
 MIN_SUBSTEP = 1e-14
+MAX_SUBSTEPS = 100_000
 
 
 def _weighted(weights, stages, i):
@@ -186,8 +189,8 @@ def _step_source(tableau, field):
     """One step of `tableau` on `field` from the state y_0 ... y_{n-1}:
     (the h * coefficient lines, the stage lines, how many of those are
     stage 1's, the new state's n expressions, the error estimate's
-    expression or None, and the pairs (stage 1's name, the last stage's
-    name) of each derivative that stage 1 does not take from the state)."""
+    expression or None, and each stage's n derivative names, None for a
+    0.0 derivative)."""
     n = field.n
     temps, reads, reads_time = field._parts
     scaled = {1.0: "h"}  # coefficient -> local holding h * coefficient
@@ -243,9 +246,7 @@ def _step_source(tableau, field):
     if tableau.e is not None:
         terms = [f"abs({terms})" for terms in (_weighted(tableau.e, stages, i) for i in range(n)) if terms]
         err = f"h * {_max(terms)}" if terms else "0.0"
-    state_names = {f"y_{i}" for i in range(n)}
-    carry = [(k1, k) for k1, k in zip(stages[0], stages[-1]) if k1 not in state_names and k1 != k]
-    return products, lines, first, new, err, carry
+    return products, lines, first, new, err, stages
 
 
 def _assign(pairs):
@@ -265,7 +266,7 @@ def _source(kind, tableau, field):
     """Source of `step(rhs, t, y, h)`, one step on a list, or of
     `march(rhs, project, ts, y, step, count, ys)`, the whole grid."""
     n = field.n
-    products, lines, first, new, err, carry = _step_source(tableau, field)
+    products, lines, first, new, err, stages = _step_source(tableau, field)
     y_names = _names("y_", n)
     if kind == "step":
         out = f"[{', '.join(new)}]" + ("" if err is None else f", {err}")
@@ -284,7 +285,10 @@ def _source(kind, tableau, field):
         # substep's stage 1 unless the field reads t: t steps by h within an
         # output interval but restarts from the grid's time at the next.
         carried = tableau.b is None and not reads_time
-        fresh, stages = (lines[:first], lines[first:]) if carried else ([], lines)
+        fresh, substep = (lines[:first], lines[first:]) if carried else ([], lines)
+        k1 = [k for k in stages[0] if k]
+        state_names = {f"y_{i}" for i in range(n)}
+        carry = [(k, k7) for k, k7 in zip(stages[0], stages[-1]) if k not in state_names and k != k7] if carried else []
         head += ["    give_up = MIN_SUBSTEP * step", "    fresh = True", "    h_scaled = None"]
         advance = [
             "if fresh:",
@@ -292,25 +296,33 @@ def _source(kind, tableau, field):
             *_indent(1, fresh),
             "    fresh = project is not None",
             "remaining = h = step",
+            "substeps = 1",
             "while True:",
             "    while True:",
             "        if h != h_scaled:",
             "            h_scaled = h",
             *_indent(3, products),
-            *_indent(2, stages),
+            *_indent(2, substep),
             f"        big_new = {_max([f'abs({v})' for v in new])}",
             "        scale = ATOL + RTOL * max(big, big_new)",
             f"        err = {err}",
             "        if err <= scale:",
             "            break",
+            # Stage 1 is f at the interval's start state: no smaller h
+            # makes a non-finite one finite.
+            f"        if not isfinite(err) and not ({' and '.join(f'isfinite({k})' for k in k1) or 'True'}):",
+            '            raise IntegrationError("derivative became non-finite")',
             "        h *= max(0.1, 0.9 * (scale / err) ** 0.2)",
             "        if h <= give_up:",
             '            raise IntegrationError(f"substep fell to {h:.3g} with error {err:.3g} > {scale:.3g}")',
             *(["    t += h"] if reads_time else []),
             "    remaining -= h",
-            *_indent(1, _assign(state + (carry if carried else []) + [("big", "big_new")])),
+            *_indent(1, _assign(state + carry + [("big", "big_new")])),
             "    if remaining <= 0.0:",
             "        break",
+            "    if substeps >= MAX_SUBSTEPS:",
+            '        raise IntegrationError(f"{substeps} substeps, the last of {h:.3g}, did not cover the output step")',
+            "    substeps += 1",
             "    h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)",
             "    if remaining < h:",
             "        h = remaining",
@@ -386,7 +398,9 @@ def integrate_rk45(rhs, initial, step, count, t0=0.0, project=None):
     """Adaptive Dormand-Prince 5(4) emitting the same uniform grid as `integrate`.
 
     Raises IntegrationError when a rejected substep falls to MIN_SUBSTEP of
-    `step` or below.
+    `step` or below, when a rejected substep's stage 1 (f at the output
+    interval's start state) is non-finite, and when one output interval
+    would take more than MAX_SUBSTEPS accepted substeps.
     """
     return _march(_DP5, rhs, initial, step, count, t0, project)
 

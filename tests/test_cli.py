@@ -1,13 +1,14 @@
 import ast
 import importlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elastica_lab import cli, scalar
+from elastica_lab import cli, diagnostics, scalar
 
 from conftest import rotation
 
@@ -58,6 +59,20 @@ def test_simulate_then_invariants_pass(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["violations"] == []
     assert payload["residuals"]["H_abs"] <= payload["tolerances"]["H_abs"]
+
+
+def test_invariants_report_is_the_json_dump_bytes(tmp_path):
+    # The report is written in one call; its bytes must be those of
+    # json.dump with the same arguments and a final newline.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    trace = str(tmp_path / "trace.csv")
+    report = tmp_path / "report.json"
+    assert run(["simulate", "--config", cfg, "--out", trace, "--step", "1e-2", "--length", "1.0"]) == 0
+    assert run(["invariants", "--trace", trace, "--report", str(report)]) == 0
+    expected = io.StringIO()
+    json.dump(diagnostics.invariant_report(cli.read_trace(trace))[0], expected, indent=2, sort_keys=True)
+    expected.write("\n")
+    assert report.read_bytes() == expected.getvalue().encode()
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -546,6 +561,38 @@ def test_commands_run_without_the_full_parser(tmp_path, monkeypatch):
     assert run(["simulate", "--config", cfg, "--out", trace] + grid) == 0
     assert run(["compare", trace, trace]) == 0
     assert run(["reduce", "--config", cfg, "--out", str(tmp_path / "scalar.csv")] + grid) == 0
+
+
+def test_cached_command_parser_leaks_no_state(capsys):
+    # Each command's parser is built once per process and reused: any order
+    # of parses, errors and helps included, must give the same outcomes.
+    for name in cli._COMMANDS:
+        assert cli._command_parser(name) is cli._command_parser(name)
+    cases = VALID_ARGV + PARSE_ERRORS
+    forward = [_parse_outcome(cli._parse, argv, capsys) for argv in cases]
+    backward = [_parse_outcome(cli._parse, argv, capsys) for argv in reversed(cases)]
+    assert backward[::-1] == forward
+
+
+USAGE_ERROR_THEN_DEFAULTS = [
+    (["simulate", "--config", "c.json", "--out", "o.csv", "--step", "1e-2", "--method", "euler"],
+     ["simulate", "--config", "c.json", "--out", "o.csv"]),
+    (["hamiltonian", "--config", "c.json", "--out", "o.csv", "--project", "on", "--step", "fine"],
+     ["hamiltonian", "--config", "c.json", "--out", "o.csv"]),
+    (["closed", "--config", "c.json", "--length", "2"], ["closed", "--config", "c.json", "--out", "o.csv"]),
+    (["invariants", "--trace", "t.csv", "--report"], ["invariants", "--trace", "t.csv", "--report", "r.json"]),
+    (["compare", "a.csv", "--tol", "1e-8"], ["compare", "a.csv", "b.csv"]),
+]
+
+
+@pytest.mark.parametrize("error, argv", USAGE_ERROR_THEN_DEFAULTS, ids=lambda argv: " ".join(argv))
+def test_command_parser_after_a_usage_error(capsys, error, argv):
+    # Neither a parse that set every option nor a usage error that got part
+    # way through the arguments may leave a value behind for the next parse
+    # of the same command, which takes the defaults.
+    cli._parse(next(valid for valid in VALID_ARGV if valid[0] == argv[0]))
+    assert _parse_outcome(cli._parse, error, capsys)[0] == 2
+    assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -504,6 +504,48 @@ def test_fused_field_that_overflows_is_non_finite_at_its_step():
         assert err.value.step_index == i
 
 
+def test_rk45_stops_at_once_on_a_non_finite_derivative():
+    # y' = y * 1e308 * 10 is infinite at the start state, so no smaller
+    # substep helps: the first attempt (7 stages) must be the last, where the
+    # controller used to shrink h ~15 times and blame the substep size.
+    field = ode.Field("nanf", 1, (), ("y0 * 1e308 * 10",))
+    calls = []
+
+    def recorded(t, y):
+        calls.append(t)
+        return field(t, y)
+
+    for rhs in (field, recorded):
+        with pytest.raises(ode.IntegrationError, match="^derivative became non-finite at step 0$") as err:
+            ode.integrate_rk45(rhs, [1.0], 0.5, 2)
+        assert err.value.step_index == 0
+    assert len(calls) == 7
+    # A finite stage 1 with a later stage that overflows still shrinks h.
+    with pytest.raises(ode.IntegrationError, match="^substep fell to .* with error nan > .* at step 0$"):
+        ode.integrate_rk45(ode.Field("steep", 1, (), ("1e300 * y0 * y0",)), [1.0], 0.5, 2)
+
+
+def test_rk45_bounds_the_substeps_of_one_output_step():
+    # y' = -1e9 y is stable only for substeps below ~3e-9: an output step of
+    # 0.5 used to accept substeps near that limit for hours.  A fresh
+    # interpreter, so that a march without the bound fails on the timeout
+    # instead of hanging the suite.
+    probe = (
+        "from elastica_lab import ode\n"
+        "field = ode.Field('stiff', 1, (), ('-1e9 * y0',))\n"
+        "for rhs in (field, lambda t, y: field(t, y)):\n"
+        "    try:\n"
+        "        ode.integrate_rk45(rhs, [1.0], 0.5, 2)\n"
+        "    except ode.IntegrationError as exc:\n"
+        "        print(exc.step_index, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
+                          timeout=60)
+    message = f"0 {ode.MAX_SUBSTEPS} substeps, the last of 3.29e-09, did not cover the output step at step 0"
+    assert done.stdout.splitlines() == [message] * 2
+
+
 def test_simpson_constant():
     assert ode.simpson(np.ones(11), 0.1) == pytest.approx(1.0, abs=1e-15)
 
