@@ -33,14 +33,30 @@ with finite kappa0 >= 0, kappa_dot0 and tau0 (`closed` also reads "lambda").
 
 Curve traces are CSV with header
     s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau
-and floats at 17 significant digits (lossless round trip); a non-finite
-cell in any written CSV is a numeric failure, and nothing is written.
+and floats at 17 significant digits (lossless round trip); every CSV ends its
+lines with "\n" on every platform.  A non-finite cell in any written CSV is
+a numeric failure, and nothing is written.
+
+`write_trace` keeps the last three traces it wrote, each with the size and
+CRC-32 of the bytes it wrote, and only when the trace passes the checks a
+read makes.  `read_trace` returns a kept trace without parsing when the file
+at that path still has that size and CRC-32; otherwise, and in a fresh
+process, it parses the file.  Because %.17g round-trips every finite double,
+the kept trace is bitwise the trace a parse would give.  A stale hit needs
+the file rewritten, by another writer, to different bytes of the same size
+and CRC-32: CRC-32 catches every burst of up to 32 bits and misses any other
+change with probability 2**-32.  zlib is loaded by numpy already and takes
+about 1.4 ms per 3 MB; hashlib would load OpenSSL, several MB of resident
+memory.  Any write to a path drops what was kept for it.
 """
 
 import argparse
+import collections
 import functools
 import json
+import os
 import sys
+import zlib
 
 import numpy as np
 
@@ -58,6 +74,13 @@ TRACE_HEADER = (
     "s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau"
 )
 _CSV_CHUNK = 512  # rows per format call in _write_csv
+_READ_CHUNK = 1 << 20  # bytes per read when a kept trace's file is checked
+# One pass of the lab writes three curve traces, then audits and compares
+# them, so three kept traces serve every read of a pass.
+_KEPT_TRACES = 3
+# abspath -> ((size, CRC-32) of the written file, step, t0, (N, 12) data) of
+# the last _KEPT_TRACES traces write_trace wrote, least recently used first.
+_kept = collections.OrderedDict()
 
 
 class InputError(Exception):
@@ -123,35 +146,95 @@ def _grid(step, length):
     return count
 
 
-def _write_csv(path, header, columns):
-    """Write columns side by side at 17 significant digits; returns the row
-    count.  A non-finite cell raises ode.IntegrationError before the file is
-    opened."""
+class _Signature:
+    """Byte count and CRC-32 of the bytes passed to `add`, in order."""
+
+    def __init__(self):
+        self.size = self.crc = 0
+
+    def add(self, data):
+        self.size += len(data)
+        self.crc = zlib.crc32(data, self.crc)
+
+    def key(self):
+        return self.size, self.crc
+
+
+def _file_signature(path):
+    """(size, CRC-32) of a file's bytes."""
+    signature = _Signature()
+    with open(path, "rb") as fh:
+        for data in iter(lambda: fh.read(_READ_CHUNK), b""):
+            signature.add(data)
+    return signature.key()
+
+
+def _csv_text(header, table):
+    """The CSV text of a table, in pieces: the header line, then one piece
+    per _CSV_CHUNK rows.  One format call per piece is faster than a call
+    per row, and each piece stays small next to the table."""
+    yield header + "\n"
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CSV_CHUNK):
+        part = table[start:start + _CSV_CHUNK]
+        yield (line * len(part)) % tuple(part.ravel().tolist())
+
+
+def _write_csv(path, header, columns, signature=None):
+    """Write columns side by side at 17 significant digits, with "\\n" line
+    ends on every platform; returns the row count.  A non-finite cell raises
+    ode.IntegrationError before the file is opened.  Every byte written is
+    also fed to `signature`, a _Signature, when one is given."""
     table = np.column_stack(columns)
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         row, col = bad[0]
         raise ode.IntegrationError(f"non-finite {header.split(',')[col]} in row {row} of {path}")
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        # One format call per chunk: faster than a call per row, and the
-        # chunk's strings stay small next to the table.
-        for start in range(0, len(table), _CSV_CHUNK):
-            part = table[start:start + _CSV_CHUNK]
-            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+    _kept.pop(os.path.abspath(path), None)
+    with open(path, "wb") as fh:
+        for text in _csv_text(header, table):
+            data = text.encode()
+            fh.write(data)
+            if signature is not None:
+                signature.add(data)
     return len(table)
 
 
+def _validated(s, state, kappa, tau, path):
+    """The curve trace of a trace file's columns: s, kappa and tau must be
+    finite, s uniformly spaced within GRID_TOL, and the (N, 12) state
+    columns are validated by CurveTrace."""
+    if not all(np.all(np.isfinite(column)) for column in (s, kappa, tau)):
+        raise InputError(f"non-finite value in trace {path}")
+    step = 1.0 if len(s) == 1 else s[1] - s[0]
+    if np.any(np.abs(np.diff(s) - step) > diagnostics.GRID_TOL):
+        raise InputError(f"bad trace {path}: samples are not uniformly spaced by step")
+    try:
+        return CurveTrace(step, state, t0=s[0], metadata={"source": path})
+    except ValueError as exc:
+        raise InputError(f"bad trace {path}: {exc}") from exc
+
+
 def write_trace(trace, path):
-    """Write a curve trace CSV (TRACE_HEADER); returns the row count."""
+    """Write a curve trace CSV (TRACE_HEADER); returns the row count.  The
+    written trace is kept, with the size and CRC-32 of the file's bytes,
+    when it passes the checks a read makes."""
     kappa, _, tau = diagnostics.curvature_arrays(trace)
-    return _write_csv(path, TRACE_HEADER, (trace.params(), trace.data, kappa, tau))
+    s = trace.params()
+    signature = _Signature()
+    rows = _write_csv(path, TRACE_HEADER, (s, trace.data, kappa, tau), signature)
+    try:
+        kept = _validated(s, trace.data, kappa, tau, path)
+    except InputError:
+        return rows
+    _kept[os.path.abspath(path)] = (signature.key(), kept.step, kept.t0, kept.data)
+    if len(_kept) > _KEPT_TRACES:
+        _kept.popitem(last=False)
+    return rows
 
 
-def read_trace(path):
-    """Parse a curve trace file; the state columns are validated by
-    CurveTrace, the s, kappa and tau columns here."""
+def _parse_trace(path):
+    """The (N, 15) table of a trace file, parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != TRACE_HEADER:
@@ -164,15 +247,26 @@ def read_trace(path):
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     if data.shape[1] != 15:
         raise InputError(f"malformed row in {path}")
-    if not np.all(np.isfinite(data[:, [0, 13, 14]])):
-        raise InputError(f"non-finite value in trace {path}")
-    step = 1.0 if len(data) == 1 else data[1, 0] - data[0, 0]
-    if np.any(np.abs(np.diff(data[:, 0]) - step) > diagnostics.GRID_TOL):
-        raise InputError(f"bad trace {path}: samples are not uniformly spaced by step")
-    try:
-        return CurveTrace(step, data[:, 1:13], t0=data[0, 0], metadata={"source": path})
-    except ValueError as exc:
-        raise InputError(f"bad trace {path}: {exc}") from exc
+    return data
+
+
+def read_trace(path):
+    """The curve trace of a trace file.  A trace this process wrote is
+    returned without parsing while the file holds exactly the written
+    bytes; any other file is parsed and validated as `write_trace` does."""
+    key = os.path.abspath(path)
+    entry = _kept.pop(key, None)
+    if entry is not None:
+        signature, step, t0, data = entry
+        try:
+            unchanged = _file_signature(path) == signature
+        except OSError:
+            unchanged = False
+        if unchanged:
+            _kept[key] = entry
+            return CurveTrace(step, data, t0=t0, metadata={"source": path})
+    data = _parse_trace(path)
+    return _validated(data[:, 0], data[:, 1:13], data[:, 13], data[:, 14], path)
 
 
 def _wrote(path, rows, note=""):

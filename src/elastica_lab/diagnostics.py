@@ -28,8 +28,9 @@ TOLERANCES = {
     "repar_charge": 1e-6,
 }
 
-# Two parameter values closer than this lie on one grid: steps of two traces,
-# or the spacing of a stored trace's s column against its step.
+# Two parameter values closer than this lie on one grid: the steps or start
+# points of two traces, or the spacing of a stored trace's s column against
+# its step.
 GRID_TOL = 1e-12
 
 
@@ -111,11 +112,14 @@ def reparametrization_charges(t, H, p_xdot, xdot):
 
 
 def position_discrepancy(trace_a, trace_b):
-    """Sup over samples of |x_a - x_b| for grid-compatible traces."""
+    """Sup over samples of |x_a - x_b| for traces on one grid: the same
+    length, step and start point within GRID_TOL."""
     if len(trace_a) != len(trace_b):
         raise ValueError("traces have different lengths")
     if abs(trace_a.step - trace_b.step) > GRID_TOL:
         raise ValueError("traces have different steps")
+    if abs(trace_a.t0 - trace_b.t0) > GRID_TOL:
+        raise ValueError("traces have different start points")
     xa = trace_a.positions()
     xb = trace_b.positions()
     return float(np.max(np.linalg.norm(xa - xb, axis=1)))

@@ -3,12 +3,16 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from elastica_lab import cli, diagnostics, scalar
+from elastica_lab.geometry import CurveTrace
 
 from conftest import rotation
 
@@ -29,6 +33,13 @@ def write_cfg(tmp_path, cfg, name="config.json"):
 
 def run(argv):
     return cli.main(argv)
+
+
+def _simulate(tmp_path, name="trace.csv", length="0.5"):
+    out = str(tmp_path / name)
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    assert run(["simulate", "--config", cfg, "--out", out, "--step", "1e-2", "--length", length]) == 0
+    return out
 
 
 def test_simulate_straight_line(tmp_path):
@@ -153,6 +164,17 @@ def test_compare_mismatched_grids_exits_2(tmp_path):
     run(["simulate", "--config", cfg, "--out", a, "--step", "1e-3", "--length", "0.5"])
     run(["simulate", "--config", cfg, "--out", b, "--step", "1e-3", "--length", "0.4"])
     assert run(["compare", a, b, "--tol", "1.0"]) == 2
+
+
+def test_compare_different_start_points_exits_2(tmp_path, capsys):
+    a = _simulate(tmp_path, "a.csv", length="1")
+    header, *rows = Path(a).read_text().splitlines()
+    shifted = [f"{float(s) + 5.0!r},{rest}" for s, rest in (row.split(",", 1) for row in rows)]
+    b = tmp_path / "b.csv"
+    b.write_text("\n".join([header, *shifted]) + "\n")
+    capsys.readouterr()
+    assert run(["compare", a, str(b)]) == 2
+    assert capsys.readouterr().err == "compare failed: traces have different start points\n"
 
 
 def test_compare_over_tolerance_exits_1(tmp_path):
@@ -498,6 +520,94 @@ def test_csv_writer_matches_savetxt(tmp_path, rows):
     np.savetxt(expected, table, fmt="%.17g", delimiter=",", header="s,a,b,c", comments="")
     assert cli._write_csv(str(written), "s,a,b,c", table.T) == rows
     assert written.read_bytes() == expected.read_bytes()
+
+
+# Doubles that a lossy text format would get wrong: signed zero, the smallest
+# subnormal and normal, the largest subnormal and the largest finite value.
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                1.0000000000000002, 0.1, 1.0 / 3.0, np.pi, -1e-300, 1e300]
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(15)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_round_trip_is_bitwise(tmp_path_factory, drawn):
+    # A kept trace stands in for the parse of its file, so writing a table
+    # and parsing it back must give the same bits.
+    table = np.vstack([EDGE_DOUBLES, drawn])
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    cli._write_csv(path, cli.TRACE_HEADER, table.T)
+    assert np.array_equal(cli._parse_trace(path).view(np.int64), table.view(np.int64))
+
+
+def test_kept_trace_is_the_parsed_trace(tmp_path, monkeypatch):
+    out = _simulate(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", None)  # a parse would fail
+        kept = cli.read_trace(out)
+    cli._kept.clear()
+    parsed = cli.read_trace(out)
+    assert (kept.t0, kept.step, len(kept)) == (parsed.t0, parsed.step, len(parsed))
+    assert np.array_equal(kept.data.view(np.int64), parsed.data.view(np.int64))
+    assert kept.metadata == parsed.metadata == {"source": out}
+    assert not kept.data.flags.writeable
+
+
+def _edit_one_state_cell(path):
+    """Change the last digit of one state cell, keeping the file's size, so
+    that the cell parses to another double; returns (row, column, value)."""
+    lines = Path(path).read_text().splitlines()
+    for row, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        for col in range(1, 13):
+            cell = cells[col]
+            for digit in "0123456789":
+                edited = cell[:-1] + digit
+                if "e" not in cell and float(edited) != float(cell):
+                    cells[col] = edited
+                    lines[row + 1] = ",".join(cells)
+                    Path(path).write_text("\n".join(lines) + "\n")
+                    return row, col - 1, float(edited)
+    raise AssertionError("no editable cell")
+
+
+def test_kept_trace_is_not_served_after_an_edit(tmp_path):
+    out = _simulate(tmp_path)
+    size = os.path.getsize(out)
+    row, col, value = _edit_one_state_cell(out)
+    assert os.path.getsize(out) == size
+    assert cli.read_trace(out).data[row, col] == value
+
+
+def test_overwritten_trace_is_read_from_the_file(tmp_path, capsys):
+    out = _simulate(tmp_path)
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    assert run(["reduce", "--config", cfg, "--out", out, "--step", "1e-2", "--length", "0.5"]) == 0
+    assert os.path.abspath(out) not in cli._kept
+    capsys.readouterr()
+    assert run(["invariants", "--trace", out, "--report", str(tmp_path / "r.json")]) == 2
+    assert "unexpected trace header" in capsys.readouterr().err
+
+
+def test_trace_off_the_grid_check_is_never_kept(tmp_path):
+    # At s ~ 1e6 the spacing of s rounds by ~1e-10, past GRID_TOL: the write
+    # succeeds, and every read refuses the file.
+    data = np.zeros((11, 12))
+    data[:, 3] = 1.0
+    out = str(tmp_path / "far.csv")
+    assert cli.write_trace(CurveTrace(1e-3, data, t0=1e6), out) == 11
+    for _ in range(2):
+        with pytest.raises(cli.InputError, match="not uniformly spaced"):
+            cli.read_trace(out)
+
+
+def test_a_fourth_trace_drops_the_oldest(tmp_path):
+    trace = CurveTrace(1e-2, np.tile([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0.0], (3, 1)))
+    paths = [str(tmp_path / f"{i}.csv") for i in range(4)]
+    for path in paths:
+        cli.write_trace(trace, path)
+    assert list(cli._kept) == [os.path.abspath(path) for path in paths[1:]]
 
 
 def test_non_finite_cell_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
