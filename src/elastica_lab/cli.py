@@ -204,10 +204,10 @@ def _validated(s, state, kappa, tau, path):
     """The curve trace of a trace file's columns: s, kappa and tau must be
     finite, s uniformly spaced within GRID_TOL, and the (N, 12) state
     columns are validated by CurveTrace."""
-    if not all(np.all(np.isfinite(column)) for column in (s, kappa, tau)):
+    if not all(np.isfinite(column).all() for column in (s, kappa, tau)):
         raise InputError(f"non-finite value in trace {path}")
     step = 1.0 if len(s) == 1 else s[1] - s[0]
-    if np.any(np.abs(np.diff(s) - step) > diagnostics.GRID_TOL):
+    if (np.abs(s[1:] - s[:-1] - step) > diagnostics.GRID_TOL).any():
         raise InputError(f"bad trace {path}: samples are not uniformly spaced by step")
     try:
         return CurveTrace(step, state, t0=s[0], metadata={"source": path})

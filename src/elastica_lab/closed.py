@@ -51,6 +51,10 @@ def foltinek_invariant(kappa, kappa_prime, tau, lam, c_norm, j):
     Broadcasts over arrays of kappa and kappa'.  The j^2/(4 kappa^2) term is
     absent when j = 0, so only j != 0 makes kappa = 0 singular; there it
     raises instead of flooring kappa.
+
+    `tau` is accepted and not read: along a solution tau = -j/(4 kappa^2)
+    is fixed by kappa and j.  The argument stays because callers pass the
+    six values positionally.
     """
     kappa = np.asarray(kappa, dtype=float)
     require_regular(kappa, j)

@@ -127,16 +127,6 @@ def diff_momentum(ps, tau, tau_dot):
     return tau * ps.p_t - tau_dot * dot(ps.p_xdot, ps.xdot)
 
 
-def separable_invariant(ps):
-    """Constant of the <p_x, xdot> subsystem along the flow:
-
-    <p_x,p_xdot>^2/4 + |p_x|^2 <p_x,xdot> - <p_x,xdot>^3.
-    """
-    u = dot(ps.p_x, ps.xdot)
-    v = dot(ps.p_x, ps.p_xdot)
-    return 0.25 * v * v + dot(ps.p_x, ps.p_x) * u - u**3
-
-
 def project_constraints(y):
     """Pull a 12-sequence (x, xdot, p_x, p_xdot) back onto the constraint
     manifold, as a list.

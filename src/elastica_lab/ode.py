@@ -262,16 +262,12 @@ def _indent(depth, lines):
     return [" " * (4 * depth) + line for line in lines]
 
 
-def _source(kind, tableau, field):
-    """Source of `step(rhs, t, y, h)`, one step on a list, or of
-    `march(rhs, project, ts, y, step, count, ys)`, the whole grid."""
+def _source(tableau, field):
+    """Source of `march(rhs, project, ts, y, step, count, ys)`, the whole
+    grid of `tableau` on `field`."""
     n = field.n
     products, lines, first, new, err, stages = _step_source(tableau, field)
     y_names = _names("y_", n)
-    if kind == "step":
-        out = f"[{', '.join(new)}]" + ("" if err is None else f", {err}")
-        return "\n".join(["def step(rhs, t, y, h):", f"    {y_names}, = y",
-                          *_indent(1, products + lines), f"    return {out}", ""])
     reads_time = field._parts[2]
     head = ["def march(rhs, project, ts, y, step, count, ys):", f"    {y_names}, = y"]
     if reads_time:
@@ -347,20 +343,10 @@ def _source(kind, tableau, field):
 
 
 @cache
-def _kernel(kind, tableau, field):
-    """The generated `step` or `march` of `tableau` on `field`, compiled on
-    first use and cached for the life of the process."""
-    return _compile(_source(kind, tableau, field), f"<ode {kind} {tableau.name} {field.name}>")[kind]
-
-
-def _rk4_step(rhs, t, y, h):
-    """One classical RK4 step."""
-    return _kernel("step", _RK4, _opaque(len(y)))(rhs, t, y, h)
-
-
-def _dp_step(rhs, t, y, h):
-    """One Dormand-Prince substep: (y5, h max|sum_i (b5_i - b4_i) k_i|)."""
-    return _kernel("step", _DP5, _opaque(len(y)))(rhs, t, y, h)
+def _kernel(tableau, field):
+    """The generated march of `tableau` on `field`, compiled on first use
+    and cached for the life of the process."""
+    return _compile(_source(tableau, field), f"<ode march {tableau.name} {field.name}>")["march"]
 
 
 def _march(tableau, rhs, initial, step, count, t0, project):
@@ -380,7 +366,7 @@ def _march(tableau, rhs, initial, step, count, t0, project):
     ys = np.empty((count + 1, len(y)))
     ys[0] = y
     field = rhs if isinstance(rhs, Field) else _opaque(len(y))
-    _kernel("march", tableau, field)(rhs, project, ts, y, step, count, ys)
+    _kernel(tableau, field)(rhs, project, ts, y, step, count, ys)
     return ts, ys
 
 

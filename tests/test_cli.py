@@ -479,7 +479,7 @@ def test_non_finite_grid_exits_2(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row, col, value", [(3, 0, "nan"), (4, 13, "inf"), (2, 0, "0.0")])
+@pytest.mark.parametrize("row, col, value", [(3, 0, "nan"), (4, 13, "inf"), (5, 14, "nan"), (2, 0, "0.0")])
 def test_corrupt_trace_columns_exit_2(tmp_path, capsys, row, col, value):
     # s and the derived kappa, tau columns are checked by read_trace, the
     # state columns by CurveTrace itself; a non-uniform s column is a bad grid.
@@ -493,7 +493,11 @@ def test_corrupt_trace_columns_exit_2(tmp_path, capsys, row, col, value):
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "r.json")]) == 2
-    assert capsys.readouterr().err.startswith("invariants failed: ")
+    if value == "0.0":
+        reason = f"bad trace {out}: samples are not uniformly spaced by step"
+    else:
+        reason = f"non-finite value in trace {out}"
+    assert capsys.readouterr().err == f"invariants failed: {reason}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "invariants"])
@@ -715,7 +719,6 @@ UNREACHED_BY_DESIGN = {
     "el_rhs_arclength": "single-point view of the Lagrangian right-hand side",
     "ham_rhs": "single-point view of the Hamiltonian flow right-hand side",
     "energy": "single-point view of the H kernel",
-    "separable_invariant": "to be wired into the invariant audit",
 }
 
 
@@ -736,14 +739,10 @@ def test_benchmark_traced_names_resolve():
         assert callable(getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), attr, None)), name
 
 
-def test_public_names_are_reached():
-    # Every public top-level def or class is referenced by the program, the
-    # acceptance gate or the benchmark's tracer, or is listed above; a listed
-    # name that gains a reference leaves the list.
-    sources = sorted((ROOT / "src" / "elastica_lab").glob("*.py"))
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
-    used = {name.partition(".")[2] for name in _spans().TRACED}
-    for tree in [*trees, ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]:
+def _referenced(trees):
+    """The names that the syntax trees read, as names, attributes or imports."""
+    used = set()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -751,10 +750,25 @@ def test_public_names_are_reached():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_public_names_are_reached():
+    # Every public top-level def or class is referenced by the program, the
+    # acceptance gate or the benchmark's tracer, or is listed above; a listed
+    # name that gains a reference leaves the list.  Every private top-level
+    # def is referenced by the program itself, with no exemption.
+    sources = sorted((ROOT / "src" / "elastica_lab").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    in_src = _referenced(trees)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = in_src | _referenced([acceptance]) | {name.partition(".")[2] for name in _spans().TRACED}
+    top = [node for tree in trees for node in tree.body]
     public = {
         node.name
-        for tree in trees
-        for node in tree.body
+        for node in top
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
+    private = {node.name for node in top if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
     assert sorted(public - used) == sorted(UNREACHED_BY_DESIGN)
+    assert sorted(private - in_src) == []

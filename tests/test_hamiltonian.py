@@ -131,13 +131,6 @@ def test_flow_matches_lagrangian(standard_trace_5, ham_trace):
     assert err <= 1e-6
 
 
-def test_separable_invariant_drift(ham_trace):
-    values = np.array(
-        [hamiltonian.separable_invariant(ps) for ps in ham_trace.samples[::100]]
-    )
-    assert np.max(np.abs(values - values[0])) <= 1e-8
-
-
 def test_projected_flow_stays_on_manifold(standard_jet):
     ps0 = hamiltonian.legendre(standard_jet)
     trace = hamiltonian.integrate_flow(ps0, 1e-3, 500, project=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastica_lab import cli, closed, diagnostics, lagrangian, ode, reconstruct, scalar
+from elastica_lab import cli, closed, diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
 from elastica_lab.reconstruct import Branch
 from elastica_lab.scalar import SingularTorsionError
 
@@ -62,13 +62,15 @@ def test_zero_momentum_forces_flat_level(line_jet):
     assert level == 0.0
 
 
-def test_first_integral_equals_momentum_level(standard_trace_5):
-    p, l, _, _ = diagnostics.momentum_arrays(standard_trace_5)
-    kappa, kappa_dot, _ = diagnostics.curvature_arrays(standard_trace_5)
-    c = -0.25 * float(np.dot(l[0], p[0]))
-    level = 0.25 * float(np.dot(p[0], p[0]))
-    fi = kappa_dot**2 + 0.25 * kappa**4 + c**2 / kappa**2
-    assert np.max(np.abs(fi - level)) <= 1e-8
+def test_first_integral_equals_momentum_level(standard_trace_5, ham_trace):
+    # Along the direct trace and the unprojected Hamiltonian flow.
+    for trace in (standard_trace_5, hamiltonian.jet_trace(ham_trace)):
+        p, l, _, _ = diagnostics.momentum_arrays(trace)
+        kappa, kappa_dot, _ = diagnostics.curvature_arrays(trace)
+        c = -0.25 * float(np.dot(l[0], p[0]))
+        level = 0.25 * float(np.dot(p[0], p[0]))
+        fi = kappa_dot**2 + 0.25 * kappa**4 + c**2 / kappa**2
+        assert np.max(np.abs(fi - level)) <= 1e-8
 
 
 def test_scalar_curvature_matches_full_integration(standard_trace_5):
