@@ -10,7 +10,8 @@ Subcommands:
     compare      sup-norm position discrepancy between two traces
 
 Exit codes: 0 success, 1 invariant violation, 2 input error (an unwritable
---out or --report included), 3 numeric failure.
+--out or --report included), 3 numeric failure (a MemoryError included, such
+as a --length whose grid cannot be allocated).
 Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
 as "<command> failed: <reason>".
 
@@ -35,7 +36,9 @@ Curve traces are CSV with header
     s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau
 and floats at 17 significant digits (lossless round trip); every CSV ends its
 lines with "\n" on every platform.  A non-finite cell in any written CSV is
-a numeric failure, and nothing is written.
+a numeric failure, and nothing is written.  A read needs uniformly spaced s:
+every spacing within GRID_TOL * max(1, |s|) of the first, since the rounding
+of s grows with |s|.
 
 `write_trace` keeps the last three traces it wrote, each with the size and
 CRC-32 of the bytes it wrote, and only when the trace passes the checks a
@@ -202,12 +205,14 @@ def _write_csv(path, header, columns, signature=None):
 
 def _validated(s, state, kappa, tau, path):
     """The curve trace of a trace file's columns: s, kappa and tau must be
-    finite, s uniformly spaced within GRID_TOL, and the (N, 12) state
-    columns are validated by CurveTrace."""
+    finite, s uniformly spaced within GRID_TOL * max(1, |s|), and the (N, 12)
+    state columns are validated by CurveTrace."""
     if not all(np.isfinite(column).all() for column in (s, kappa, tau)):
         raise InputError(f"non-finite value in trace {path}")
     step = 1.0 if len(s) == 1 else s[1] - s[0]
-    if (np.abs(s[1:] - s[:-1] - step) > diagnostics.GRID_TOL).any():
+    # The largest |s| of a uniform grid is at one of its ends.
+    tol = diagnostics.GRID_TOL * max(1.0, abs(s[0]), abs(s[-1]))
+    if (np.abs(s[1:] - s[:-1] - step) > tol).any():
         raise InputError(f"bad trace {path}: samples are not uniformly spaced by step")
     try:
         return CurveTrace(step, state, t0=s[0], metadata={"source": path})
@@ -446,7 +451,7 @@ def main(argv=None):
     args = _parse(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, ode.IntegrationError, ValueError) as exc:
+    except (InputError, OSError, ode.IntegrationError, ValueError, MemoryError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, (InputError, OSError)) else EXIT_NUMERIC
 

@@ -26,15 +26,11 @@ import numpy as np
 from .frenet import KAPPA_MIN
 
 
-class SingularTorsionError(ValueError):
-    """kappa at or below the floor with j != 0, where tau = -j/(4 kappa^2) is singular."""
-
-
 def require_regular(kappa, j):
-    """Raise SingularTorsionError where |kappa| <= KAPPA_MIN with j != 0: there
+    """Raise ValueError where |kappa| <= KAPPA_MIN with j != 0: there
     the j^2/(4 kappa^2) term of the quadrature relation is singular."""
     if j != 0.0 and np.any(np.abs(kappa) <= KAPPA_MIN):
-        raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
+        raise ValueError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
 
 
 def quadrature_residual(kappa, kappa_dot, lam, c_sq, j):
@@ -76,7 +72,7 @@ def constrained_scalar_rhs(kappa, kappa_dot, lam, j):
     if j == 0.0:
         return kappa_dot, 0.5 * lam * kappa - 0.5 * kappa**3
     if abs(kappa) <= KAPPA_MIN:
-        raise SingularTorsionError(f"kappa = {kappa} with j = {j}: rhs singular")
+        raise ValueError(f"kappa = {kappa} with j = {j}: rhs singular")
     return (
         kappa_dot,
         0.5 * lam * kappa - 0.5 * kappa**3 + j**2 / (16.0 * kappa**3),

@@ -29,8 +29,8 @@ TOLERANCES = {
 }
 
 # Two parameter values closer than this lie on one grid: the steps or start
-# points of two traces, or the spacing of a stored trace's s column against
-# its step.
+# points of two traces, or, scaled by max(1, |s|), the spacing of a stored
+# trace's s column against its step.
 GRID_TOL = 1e-12
 
 

@@ -3,15 +3,11 @@
 import numpy as np
 
 from .geometry import FrenetFrame, JetState, cross, dot, norm
-from .lagrangian import ARCLENGTH_TOL, GaugeError
+from .lagrangian import ARCLENGTH_TOL
 
 # Below this curvature the normal N = xddot/kappa amplifies noise past usable
 # precision at the default step size; frame extraction refuses to proceed.
 KAPPA_MIN = 1e-8
-
-
-class FrameUndefinedError(ValueError):
-    """Curvature at or below KAPPA_MIN: no Frenet frame exists here."""
 
 
 def curvature(xdot, xddot, xdddot):
@@ -33,10 +29,10 @@ def frenet_frame(j):
     T = xdot, N = xddot/kappa and B = T x N.
     """
     if not j.is_arclength(tol=ARCLENGTH_TOL):
-        raise GaugeError("frenet_frame needs an arclength jet")
+        raise ValueError("frenet_frame needs an arclength jet")
     kappa, _, tau = curvature(j.xdot, j.xddot, j.xdddot)
     if kappa <= KAPPA_MIN:
-        raise FrameUndefinedError(f"kappa = {kappa} <= {KAPPA_MIN}: use the straight-line branch")
+        raise ValueError(f"kappa = {kappa} <= {KAPPA_MIN}: use the straight-line branch")
     T = j.xdot / norm(j.xdot)
     N = j.xddot / kappa
     B = cross(T, N)

@@ -17,10 +17,6 @@ import numpy as np
 INVARIANT_TOL = 1e-10
 
 
-class DegenerateInputError(ValueError):
-    """A geometric input (direction, speed) is zero where it must not be."""
-
-
 def vec3(v):
     """Validate and return a finite length-3 float64 vector."""
     a = np.asarray(v, dtype=float)
@@ -115,7 +111,7 @@ class PhaseState:
         self.p_x = vec3(self.p_x)
         self.p_xdot = vec3(self.p_xdot)
         if norm(self.xdot) == 0.0:
-            raise DegenerateInputError("phase state requires xdot != 0")
+            raise ValueError("phase state requires xdot != 0")
 
     def to_array(self):
         """Flat 12-vector (x, xdot, p_x, p_xdot); p_t rides along as exactly 0."""

@@ -13,22 +13,17 @@ coisotropic).  On it, the arclength-normalized flow is linear-quadratic:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ode
 from .geometry import CurveTrace, JetState, PhaseState, dot, norm
-from .lagrangian import DomainError, ostrogradski_momenta
+from .lagrangian import ostrogradski_momenta
 
 # Residual size beyond which a phase point is treated as genuinely off the
 # constraint manifold (out of the range of the Legendre transform) rather
 # than merely drifted.
 OFF_MANIFOLD_TOL = 1e-6
-
-
-class NotInRangeError(ValueError):
-    """Phase point violates the range constraints of the Legendre transform."""
 
 
 def legendre(j):
@@ -47,16 +42,16 @@ def constraints(xdot, p_x, p_xdot):
 def constraint_residuals(ps):
     """(p_t, <p_xdot, xdot>, h); all three vanish on the constraint manifold."""
     if norm(ps.xdot) == 0.0:
-        raise DomainError("xdot = 0: constraints undefined")
+        raise ValueError("xdot = 0: constraints undefined")
     return (ps.p_t, *map(float, constraints(ps.xdot, ps.p_x, ps.p_xdot)))
 
 
 def _require_in_range(residuals):
-    """Raise NotInRangeError at the first row of constraint residuals past OFF_MANIFOLD_TOL."""
+    """Raise ValueError at the first row of constraint residuals past OFF_MANIFOLD_TOL."""
     residuals = np.atleast_2d(residuals)
     bad = np.flatnonzero(np.max(np.abs(residuals), axis=1) > OFF_MANIFOLD_TOL)
     if bad.size:
-        raise NotInRangeError(
+        raise ValueError(
             f"not in the range of the Legendre transform at row {bad[0]}: {residuals[bad[0]]}"
         )
 
@@ -91,32 +86,12 @@ def jet_trace(phase):
     return CurveTrace(phase.step, jets, t0=phase.t0, metadata=phase.metadata)
 
 
-@dataclass
-class PhaseDerivative:
-    dt: float
-    dx: np.ndarray
-    dxdot: np.ndarray
-    dp_x: np.ndarray
-    dp_xdot: np.ndarray
-
-
 def _require_flow_point(ps):
-    """Raise NotInRangeError unless ps is on the constraint manifold with
+    """Raise ValueError unless ps is on the constraint manifold with
     |xdot| = 1, where the arclength-normalized flow is defined."""
     _require_in_range(constraint_residuals(ps))
     if abs(norm(ps.xdot) - 1.0) > OFF_MANIFOLD_TOL:
-        raise NotInRangeError(f"flow needs arclength normalization, |xdot| = {norm(ps.xdot)}")
-
-
-def ham_rhs(ps):
-    """Arclength-normalized constrained flow at an on-manifold phase point.
-
-    The flow assumes |xdot| = 1 (preserved exactly, since dxdot is
-    proportional to p_xdot, which is transverse to xdot on the manifold).
-    """
-    _require_flow_point(ps)
-    d = np.array(_flat_rhs(ps.t, ps.to_array()))
-    return PhaseDerivative(dt=1.0, dx=d[0:3], dxdot=d[3:6], dp_x=d[6:9], dp_xdot=d[9:12])
+        raise ValueError(f"flow needs arclength normalization, |xdot| = {norm(ps.xdot)}")
 
 
 def diff_momentum(ps, tau, tau_dot):

@@ -1,4 +1,4 @@
-"""The curvature-squared Lagrangian: density, momenta, energy, dynamics.
+"""The curvature-squared Lagrangian: density, momenta, invariants, dynamics.
 
 All formulas are for curves in R^3.  The density in an arbitrary
 parametrization is
@@ -19,14 +19,6 @@ from . import ode
 from .geometry import ConservedSet, CurveTrace, JetState, arclength_conditions, cross, dot, norm
 
 
-class DomainError(ValueError):
-    """The Lagrangian side is undefined at this point (xdot = 0)."""
-
-
-class GaugeError(ValueError):
-    """An arclength-gauge operation was fed a non-arclength jet."""
-
-
 # How far a jet may sit off the arclength submanifold and still be accepted
 # by the arclength-gauge operations.  Looser than construction-level checks
 # so integrated traces with accumulated drift remain usable.
@@ -36,15 +28,13 @@ ARCLENGTH_TOL = 1e-6
 def _speed(j):
     v = norm(j.xdot)
     if not v > 0.0:
-        raise DomainError("xdot = 0: off the domain of the Lagrangian")
+        raise ValueError("xdot = 0: off the domain of the Lagrangian")
     return v
 
 
 def _require_arclength(j):
     if not j.is_arclength(tol=ARCLENGTH_TOL):
-        raise GaugeError(
-            f"jet violates arclength conditions: defects {j.arclength_defects()}"
-        )
+        raise ValueError(f"jet violates arclength conditions: defects {j.arclength_defects()}")
 
 
 def density(xdot, xddot):
@@ -103,20 +93,6 @@ def ostrogradski_momenta(j):
     """Canonical momenta (p_x, p_xdot) at one jet."""
     _speed(j)
     return momenta(j.xdot, j.xddot, j.xdddot)
-
-
-def energy(j):
-    """H = <p_x, xdot> + <p_xdot, xddot> - L at one jet; zero on every solution."""
-    return float(conserved(j.x, j.xdot, j.xddot, j.xdddot, *ostrogradski_momenta(j))[2])
-
-
-def el_rhs_arclength(j):
-    """Fourth derivative of an arclength solution.
-
-    x'''' = -(3/2)|xddot|^2 xddot - 3 <xddot, xdddot> xdot.
-    """
-    _require_arclength(j)
-    return np.array(_flat_rhs(j.t, j.to_array())[9:12])
 
 
 def central_el_residual(p_x, step):

@@ -41,10 +41,6 @@ class Branch(enum.Enum):
     DEGENERATE_LINE = "degenerate_line"
 
 
-class BranchError(ValueError):
-    """The requested reconstruction branch does not apply to this data."""
-
-
 def classify_case(cs, kappa0, tau0):
     """Pick the reconstruction branch for the given invariants.
 
@@ -62,14 +58,14 @@ def frame_DE(j, p):
     """Unit vectors along xdot x p and (xdot x p) x p.
 
     Both are orthogonal to p; they fail to exist when xdot is parallel to p
-    (equivalently |p|^2 = kappa^4 on solutions), which raises BranchError.
+    (equivalently |p|^2 = kappa^4 on solutions), which raises ValueError.
     """
     p = vec3(p)
     p2 = dot(p, p)
     u = cross(j.xdot, p)
     u2 = dot(u, u)
     if u2 <= DENOMINATOR_FLOOR * p2:
-        raise BranchError("xdot parallel to p: no rotating frame, use the planar/line branch")
+        raise ValueError("xdot parallel to p: no rotating frame, use the planar/line branch")
     D = u / np.sqrt(u2)
     v = cross(u, p)
     E = v / norm(v)
@@ -84,7 +80,7 @@ def phase_phi(kappa, kappa_dot, cs, step):
     scale = dot(cs.l, cs.p) * np.sqrt(p2)
     denom = p2 - kappa**4
     if np.any(denom <= DENOMINATOR_FLOOR * p2):
-        raise BranchError("|p|^2 - kappa^4 hit the floor: generic branch invalid")
+        raise ValueError("|p|^2 - kappa^4 hit the floor: generic branch invalid")
     rate = scale / (2.0 * denom)
     rate_dot = 2.0 * scale * kappa**3 * np.asarray(kappa_dot, dtype=float) / denom**2
     return cumulative_hermite(step, rate, rate_dot)
@@ -107,7 +103,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     p = cs.p
     p2 = dot(p, p)
     if p2 == 0.0:
-        raise BranchError("p = 0: degenerate branch")
+        raise ValueError("p = 0: degenerate branch")
     pn = np.sqrt(p2)
     phat = p / pn
 
@@ -155,7 +151,7 @@ def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0
     pxB = cross(p, B)
     q2 = dot(pxB, pxB)
     if q2 == 0.0:
-        raise BranchError("p x B = 0: the motion is a straight line")
+        raise ValueError("p x B = 0: the motion is a straight line")
     p2 = dot(p, p)
 
     ksq_int = cumulative_hermite(step, kappa**2, 2.0 * kappa * kappa_dot)
@@ -183,7 +179,7 @@ def reconstruct_line(x0, tangent, step, count, t0=0.0):
     t_hat = vec3(tangent)
     n = norm(t_hat)
     if n == 0.0:
-        raise BranchError("line needs a nonzero tangent")
+        raise ValueError("line needs a nonzero tangent")
     t_hat = t_hat / n
     arc = (step * np.arange(count + 1))[:, None]
     data = np.hstack([x0 + arc * t_hat, np.tile(t_hat, (count + 1, 1)), np.zeros((count + 1, 6))])

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import ode
-from .closed import SingularTorsionError, constrained_scalar_rhs
+from .closed import constrained_scalar_rhs
 from .frenet import KAPPA_MIN
 
 
@@ -37,7 +37,7 @@ def torsion_from_c(kappa, c):
     if c == 0.0:
         return np.zeros_like(kappa)
     if np.any(np.abs(kappa) <= KAPPA_MIN):
-        raise SingularTorsionError(f"kappa <= {KAPPA_MIN} with c = {c}: torsion singular")
+        raise ValueError(f"kappa <= {KAPPA_MIN} with c = {c}: torsion singular")
     return c / kappa**2
 
 

@@ -20,17 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dot, vec3
-from .lagrangian import (
-    DomainError, density, el_residual, lagrangian_density, momenta, ostrogradski_momenta
-)
+from .lagrangian import density, el_residual, lagrangian_density, momenta, ostrogradski_momenta
 
 _SPOT_POINTS = 5
 _SPOT_RTOL = 1e-6
 _FD_H = 1e-6
-
-
-class FieldValidationError(ValueError):
-    """Supplied derivatives failed the construction spot check."""
 
 
 def _no_tau(t):
@@ -52,7 +46,7 @@ class SymmetryField:
         self.shift = vec3(shift)
         self.jac = np.array(jac, dtype=float)
         if self.jac.shape != (3, 3) or not np.all(np.isfinite(self.jac)):
-            raise FieldValidationError("jac must be a finite 3x3 array")
+            raise ValueError("jac must be a finite 3x3 array")
         self._validate()
 
     def _validate(self):
@@ -64,9 +58,7 @@ class SymmetryField:
             for k in range(3):
                 fd = (ahead[k] - behind[k]) / (2 * _FD_H)
                 if abs(values[k + 1] - fd) > _SPOT_RTOL * max(scale, abs(fd)):
-                    raise FieldValidationError(
-                        f"tau derivatives disagree with finite differences at t={t}"
-                    )
+                    raise ValueError(f"tau derivatives disagree with finite differences at t={t}")
 
     # Convenience constructors for the fields the theory actually uses.
     @staticmethod
@@ -131,9 +123,9 @@ def charge(X, t, x, xdot, xddot, xdddot):
 
 
 def noether_charge(X, j):
-    """The charge of X at one jet; raises DomainError at xdot = 0."""
+    """The charge of X at one jet; raises ValueError at xdot = 0."""
     if not np.any(j.xdot):
-        raise DomainError("xdot = 0: off the domain of the Lagrangian")
+        raise ValueError("xdot = 0: off the domain of the Lagrangian")
     return float(charge(X, j.t, j.x, j.xdot, j.xddot, j.xdddot))
 
 

@@ -594,16 +594,21 @@ def test_overwritten_trace_is_read_from_the_file(tmp_path, capsys):
     assert "unexpected trace header" in capsys.readouterr().err
 
 
-def test_trace_off_the_grid_check_is_never_kept(tmp_path):
-    # At s ~ 1e6 the spacing of s rounds by ~1e-10, past GRID_TOL: the write
-    # succeeds, and every read refuses the file.
+def test_trace_far_from_zero_is_kept_and_parsed(tmp_path):
+    # At s ~ 1e6 the spacing of s rounds by ~1e-10, past GRID_TOL but well
+    # within GRID_TOL * |s|: the write keeps the trace, and the kept read and
+    # the parsed read both return it.
     data = np.zeros((11, 12))
     data[:, 3] = 1.0
     out = str(tmp_path / "far.csv")
     assert cli.write_trace(CurveTrace(1e-3, data, t0=1e6), out) == 11
-    for _ in range(2):
-        with pytest.raises(cli.InputError, match="not uniformly spaced"):
-            cli.read_trace(out)
+    kept = cli.read_trace(out)
+    assert cli._kept.pop(os.path.abspath(out))
+    parsed = cli.read_trace(out)
+    for trace in (kept, parsed):
+        assert trace.t0 == 1e6 and trace.step == pytest.approx(1e-3, abs=1e-9)
+        assert trace.data.tobytes() == data.tobytes()
+    assert kept.step == parsed.step
 
 
 def test_a_fourth_trace_drops_the_oldest(tmp_path):
@@ -625,6 +630,19 @@ def test_non_finite_cell_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     out = tmp_path / "scalar.csv"
     assert run(["reduce", "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 3
     assert capsys.readouterr().err.startswith("reduce failed: non-finite kappa in row 6 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "hamiltonian", "reconstruct", "reduce", "closed"])
+def test_unallocatable_grid_is_a_numeric_failure(tmp_path, capsys, command):
+    # 1e18 + 1 samples: numpy refuses the first grid array at once, so
+    # nothing is allocated, and the MemoryError exits 3 like any numeric
+    # failure instead of escaping main.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = tmp_path / "huge.csv"
+    assert run([command, "--config", cfg, "--out", str(out), "--step", "1e-3", "--length", "1e15"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -716,9 +734,6 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREACHED_BY_DESIGN = {
     "cartan_contraction": "reference that tests compare noether_charge against",
     "fourth_derivative_frame": "reference that tests compare the dynamics against",
-    "el_rhs_arclength": "single-point view of the Lagrangian right-hand side",
-    "ham_rhs": "single-point view of the Hamiltonian flow right-hand side",
-    "energy": "single-point view of the H kernel",
 }
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from elastica_lab.geometry import (
     CurveTrace,
-    DegenerateInputError,
     FrenetFrame,
     JetState,
     PhaseState,
@@ -58,7 +57,7 @@ def test_jet_state_array_round_trip():
 
 
 def test_phase_state_requires_moving_point():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValueError, match="phase state requires xdot != 0"):
         PhaseState(0.0, [0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0])
 
 
