@@ -10,8 +10,9 @@ Subcommands:
     compare      sup-norm position discrepancy between two traces
 
 Exit codes: 0 success, 1 invariant violation, 2 input error (an unwritable
---out or --report included), 3 numeric failure (a MemoryError included, such
-as a --length whose grid cannot be allocated).
+--out or --report included), 3 numeric failure (a grid too large included:
+a --length / --step that overflows a float, or one whose grid cannot be
+allocated).
 Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
 as "<command> failed: <reason>".
 
@@ -31,6 +32,8 @@ or frame data
     {"kappa0": r, "kappa_dot0": r, "tau0": r, "x0": [..],
      "frame": "standard" | [[T],[N],[B]]}
 with finite kappa0 >= 0, kappa_dot0 and tau0 (`closed` also reads "lambda").
+A run prints one "warning:" line on stderr that names each given input its
+command does not read (see `_config`).
 
 Curve traces are CSV with header
     s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau
@@ -143,6 +146,8 @@ def initial_jet(cfg):
 def _grid(step, length):
     if not (0.0 < step < np.inf and 0.0 < length < np.inf):
         raise InputError("step and length must be finite and positive")
+    if length / step == np.inf:  # a numeric failure, like a grid too large to allocate
+        raise ValueError(f"too many steps: length / step = {length!r} / {step!r} overflows")
     count = int(round(length / step))
     if count < 1 or abs(count * step - length) > 1e-9 * max(1.0, length):
         raise InputError("length must be an integer multiple of step")
@@ -280,9 +285,26 @@ def _wrote(path, rows, note=""):
     return EXIT_OK
 
 
+def _config(args):
+    """The config of a run.  Warns on stderr of each given input that the
+    command does not read: only `closed` reads a nonzero "lambda", only
+    `hamiltonian` --project and only `simulate` and `hamiltonian` --method."""
+    cfg = load_config(args.config)
+    ignored = []
+    if args.command != "closed" and cfg.get("lambda", 0.0) != 0.0:
+        ignored.append(f'config "lambda" = {cfg["lambda"]!r}')
+    if args.command != "hamiltonian" and args.project == "on":
+        ignored.append("--project on")
+    if args.command not in ("simulate", "hamiltonian") and args.method != "rk4":
+        ignored.append(f"--method {args.method}")
+    if ignored:
+        print(f"warning: {args.command} ignores {', '.join(ignored)}", file=sys.stderr)
+    return cfg
+
+
 def _start(args):
     """Initial jet and step count of a run; warns when the jet was projected."""
-    jet, projected = initial_jet(load_config(args.config))
+    jet, projected = initial_jet(_config(args))
     if projected:
         print("warning: initial jet was off the arclength submanifold; projected", file=sys.stderr)
     return jet, _grid(args.step, args.length)
@@ -320,7 +342,7 @@ def cmd_reduce(args):
 
 
 def cmd_closed(args):
-    kappa0, kappa_dot0, tau0, lam = _frame_scalars(load_config(args.config), "lambda")
+    kappa0, kappa_dot0, tau0, lam = _frame_scalars(_config(args), "lambda")
     count = _grid(args.step, args.length)
     j = angular_momentum_j(kappa0, tau0)
     require_regular(kappa0, j)

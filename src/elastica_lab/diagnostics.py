@@ -11,7 +11,7 @@ from .closed import quadrature_residual
 from .frenet import KAPPA_MIN, curvature
 from .geometry import arclength_conditions, dot
 from .hamiltonian import constraints
-from .lagrangian import central_el_residual, conserved, momenta
+from .lagrangian import central_el_residual, conserved, momenta, reparametrization_charge
 
 # The acceptance values for a standard run, per invariant_report residual.
 TOLERANCES = {
@@ -99,16 +99,20 @@ def scalar_identity_residuals(trace):
 
 
 def reparametrization_charges(t, H, p_xdot, xdot):
-    """Values of the reparametrization charge -tau H - tau_dot <p_xdot, xdot>
-    for tau(t) in {1, t, e^t}, from per-sample parameters, Hamiltonian and
-    momenta; (N, 3) array, one column per generator.
+    """lagrangian.reparametrization_charge for tau(t) in {1, t, e^t}, from
+    per-sample parameters, Hamiltonian and momenta; (N, 3) array, one column
+    per generator.
 
     Each column is divided by |tau| + |tau_dot|, so that the size of the
-    generator does not scale up roundoff in H; for e^t this leaves
-    -(H + <p_xdot, xdot>)/2 at every t.
+    generator does not scale up roundoff in H; for e^t that is the charge of
+    (1/2, 1/2) at every t, so e^t, which overflows past t = 709.78, is never formed.
     """
     pv = dot(p_xdot, xdot)
-    return np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
+
+    def k(tau, tau_dot):
+        return reparametrization_charge(tau, tau_dot, H, pv)
+
+    return np.stack([k(1.0, 0.0), k(t, 1.0) / (np.abs(t) + 1.0), k(0.5, 0.5)], axis=1)
 
 
 def position_discrepancy(trace_a, trace_b):

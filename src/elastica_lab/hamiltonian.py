@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ode
 from .geometry import CurveTrace, JetState, PhaseState, dot, norm
-from .lagrangian import ostrogradski_momenta
+from .lagrangian import ostrogradski_momenta, reparametrization_charge
 
 # Residual size beyond which a phase point is treated as genuinely off the
 # constraint manifold (out of the range of the Legendre transform) rather
@@ -95,11 +95,12 @@ def _require_flow_point(ps):
 
 
 def diff_momentum(ps, tau, tau_dot):
-    """Reparametrization momentum tau p_t - tau_dot <p_xdot, xdot>.
+    """Reparametrization momentum of the generator (tau, tau_dot) at a phase
+    point: lagrangian.reparametrization_charge with H = -p_t.
 
     Identically zero on the constraint manifold, for every generator.
     """
-    return tau * ps.p_t - tau_dot * dot(ps.p_xdot, ps.xdot)
+    return reparametrization_charge(tau, tau_dot, -ps.p_t, dot(ps.p_xdot, ps.xdot))
 
 
 def project_constraints(y):

@@ -9,8 +9,9 @@ which equals kappa^2 |xdot|.  Dynamics are integrated in the arclength gauge
 only; the undetermined parallel part of the fourth derivative is fixed there
 by differentiating the arclength conditions.
 
-`density`, `momenta` and `conserved` broadcast over (..., 3) arrays; the
-single-jet functions and the trace audits in `diagnostics` both call them.
+`density`, `momenta`, `conserved` and `reparametrization_charge` broadcast
+over arrays; the single-jet functions and the trace audits in `diagnostics`
+both call them.
 """
 
 import numpy as np
@@ -83,6 +84,12 @@ def conserved(x, xdot, xddot, xdddot, p_x, p_xdot):
     return p, l, H, c
 
 
+def reparametrization_charge(tau, tau_dot, H, pv):
+    """Noether charge of the reparametrization tau(t) d/dt, from H of
+    `conserved` and pv = <p_xdot, xdot>; broadcasts."""
+    return -(tau * H + tau_dot * pv)
+
+
 def lagrangian_density(j):
     """The density L at one jet."""
     _speed(j)
@@ -103,16 +110,6 @@ def central_el_residual(p_x, step):
     -(d/dt) p_x, evaluated with a second-order central difference.
     """
     return -(p_x[2:] - p_x[:-2]) / (2.0 * step)
-
-
-def el_residual(trace, index):
-    """The central-difference Euler-Lagrange residual at an interior sample."""
-    n = len(trace)
-    if index < 1 or index > n - 2:
-        raise IndexError(f"index {index} leaves no room for a centered stencil")
-    rows = slice(index - 1, index + 2)
-    p_x, _ = momenta(trace.xdot[rows], trace.xddot[rows], trace.xdddot[rows])
-    return central_el_residual(p_x, trace.step)[0]
 
 
 def conserved_momenta(j):

@@ -646,6 +646,52 @@ def test_unallocatable_grid_is_a_numeric_failure(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+@pytest.mark.parametrize("step, length", [("1e-300", "1e300"), ("1e-320", "1")])
+def test_overflowing_grid_is_a_numeric_failure(tmp_path, capsys, command, step, length):
+    # length / step overflows to inf, which has no step count.
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    out = tmp_path / "huge.csv"
+    assert run([command, "--config", cfg, "--out", str(out), "--step", step, "--length", length]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: too many steps") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Each run input with the commands that read it; every other run command
+# names the input in one warning line and runs as if it were not given.
+RUN_INPUTS = {
+    'config "lambda" = 0.5': (({"lambda": 0.5}, []), ("closed",)),
+    "--project on": (({}, ["--project", "on"]), ("hamiltonian",)),
+    "--method rk45": (({}, ["--method", "rk45"]), ("simulate", "hamiltonian")),
+}
+
+
+@pytest.mark.parametrize("named", RUN_INPUTS)
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_an_ignored_input_is_named_on_stderr(tmp_path, capsys, command, named):
+    (extra, flags), readers = RUN_INPUTS[named]
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", str(out), "--step", "1e-2", "--length", "0.1"]
+    assert run(argv + ["--config", write_cfg(tmp_path, FRAME_CFG, "plain.json")]) == 0
+    plain, printed = out.read_bytes(), capsys.readouterr()
+    assert printed.err == ""
+    assert run(argv + ["--config", write_cfg(tmp_path, dict(FRAME_CFG, **extra), "given.json")] + flags) == 0
+    given = capsys.readouterr()
+    if command in readers:
+        assert given.err == ""
+    else:
+        assert given.err == f"warning: {command} ignores {named}\n"
+        assert given.out == printed.out and out.read_bytes() == plain
+
+
+def test_ignored_inputs_share_one_warning_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(FRAME_CFG, **{"lambda": 0.5}))
+    argv = ["reduce", "--config", cfg, "--out", str(tmp_path / "out.csv"), "--step", "1e-2", "--length", "0.1"]
+    assert run(argv + ["--project", "on", "--method", "rk45"]) == 0
+    assert capsys.readouterr().err == 'warning: reduce ignores config "lambda" = 0.5, --project on, --method rk45\n'
+
+
 def _parse_outcome(parse, argv, capsys):
     """(exit code, stdout, stderr, namespace) of parsing argv."""
     try:

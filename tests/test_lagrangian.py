@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastica_lab import diagnostics, frenet, lagrangian
-from elastica_lab.geometry import JetState
+from elastica_lab import diagnostics, frenet, lagrangian, symmetry
+from elastica_lab.geometry import CurveTrace, JetState, dot
 
 from conftest import frame_jet
 
@@ -126,8 +126,7 @@ def test_el_residual_small_on_solutions(standard_trace_5):
 
 def test_el_residual_zero_on_line(line_jet):
     trace = lagrangian.integrate_elastica(line_jet, 1e-3, 100)
-    for i in (2, 50, 97):
-        np.testing.assert_array_equal(lagrangian.el_residual(trace, i), np.zeros(3))
+    np.testing.assert_array_equal(diagnostics.el_residual_array(trace), np.zeros((99, 3)))
 
 
 def test_el_residual_large_on_circle(circle_trace):
@@ -137,15 +136,32 @@ def test_el_residual_large_on_circle(circle_trace):
 
 
 def test_el_residual_stencil_bounds(standard_trace_5):
-    # The stencil reads rows index-1..index+1: indexes 1..N-2 are valid and
-    # give the trace-level rows exactly; the end rows have no neighbour.
+    # The Noether identity's EL stencil reads rows index-1..index+1: indexes
+    # 1..N-2 are valid; the end rows have no neighbour.
     n = len(standard_trace_5)
-    rows = diagnostics.el_residual_array(standard_trace_5)
+    rotation = symmetry.SymmetryField.rotation([0.0, 0.0, 1.0])
     for i in (1, n - 2):
-        assert lagrangian.el_residual(standard_trace_5, i).tobytes() == rows[i - 1].tobytes()
+        assert abs(symmetry.noether_identity_residual(rotation, standard_trace_5, i)) <= 1e-6
     for i in (0, n - 1):
-        with pytest.raises(IndexError):
-            lagrangian.el_residual(standard_trace_5, i)
+        with pytest.raises(IndexError, match="no room for a centered stencil"):
+            symmetry.noether_identity_residual(rotation, standard_trace_5, i)
+
+
+def test_reparametrization_charges_past_the_overflow_of_e_t():
+    # e^t overflows past t = 709.78; the audit's e^t column never forms it.
+    rng = np.random.default_rng(31)
+    x, xddot, xdddot = rng.normal(size=(3, 21, 3))
+    xdot = rng.normal(size=(21, 3)) + [2.0, 0.0, 0.0]
+    trace = CurveTrace(0.5, np.hstack([x, xdot, xddot, xdddot]), t0=705.0)
+    t = trace.params()
+    assert t[0] < 709.8 < t[-1]
+    _, p_xdot = lagrangian.momenta(xdot, xddot, xdddot)
+    H = diagnostics.momentum_arrays(trace)[2]
+    pv = dot(p_xdot, xdot)
+    charges = diagnostics.reparametrization_charges(t, H, p_xdot, xdot)
+    assert np.all(np.isfinite(charges))
+    closed_forms = np.stack([-H, (-t * H - pv) / (np.abs(t) + 1.0), -0.5 * (H + pv)], axis=1)
+    assert charges.tobytes() == closed_forms.tobytes()
 
 
 def test_conserved_momenta_planar_jet():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastica_lab import symmetry
-from elastica_lab.geometry import CurveTrace, JetState
+from elastica_lab import lagrangian, symmetry
+from elastica_lab.geometry import CurveTrace, JetState, dot
 from elastica_lab.symmetry import SymmetryField
 
 from conftest import circle_rows
@@ -15,42 +15,26 @@ TIME = SymmetryField.time_translation()
 
 
 def test_construction_rejects_bad_tau_derivatives():
-    with pytest.raises(ValueError, match="tau derivatives disagree with finite differences"):
-        SymmetryField.reparametrization(lambda t: (np.sin(t), np.sin(t), 0.0, 0.0))
+    with pytest.raises(ValueError, match="tau_dot disagrees with a finite difference of tau"):
+        SymmetryField.reparametrization(lambda t: (np.sin(t), np.sin(t)))
+    with pytest.raises(ValueError, match="tau_dot disagrees with a finite difference of tau"):
+        SymmetryField.reparametrization(lambda t: (np.nan, np.nan))
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [lambda t: (np.exp(t),) * 4, lambda t: (np.exp(t),), lambda t: np.exp(t), lambda t: (t, None)],
+    ids=["four values", "one value", "a scalar", "None for tau_dot"],
+)
+def test_construction_rejects_anything_but_a_pair(tau):
+    with pytest.raises(ValueError, match=r"tau must return the pair \(tau, tau_dot\)"):
+        SymmetryField.reparametrization(tau)
 
 
 def test_exponential_reparametrization_passes_validation():
-    X = SymmetryField.reparametrization(
-        lambda t: (np.exp(t), np.exp(t), np.exp(t), np.exp(t))
-    )
-    pr = symmetry.prolong(X, PLANAR)
-    assert pr.tau == pytest.approx(1.0)
-
-
-def test_prolong_translation():
-    pr = symmetry.prolong(E1, PLANAR)
-    assert pr.tau == 0.0
-    np.testing.assert_array_equal(pr.xi0, [1, 0, 0])
-    np.testing.assert_array_equal(pr.xi1, np.zeros(3))
-    np.testing.assert_array_equal(pr.xi2, np.zeros(3))
-    np.testing.assert_array_equal(pr.xi3, np.zeros(3))
-
-
-def test_prolong_time_translation():
-    pr = symmetry.prolong(TIME, PLANAR)
-    assert pr.tau == 1.0
-    np.testing.assert_array_equal(pr.xi0, np.zeros(3))
-    np.testing.assert_array_equal(pr.xi1, np.zeros(3))
-    np.testing.assert_array_equal(pr.xi2, np.zeros(3))
-    np.testing.assert_array_equal(pr.xi3, np.zeros(3))
-
-
-def test_prolong_rotation():
-    # Linear fields prolong by rotating each jet slot.
-    pr = symmetry.prolong(R3, PLANAR)
-    np.testing.assert_allclose(pr.xi1, [0, 1, 0], atol=1e-15)
-    np.testing.assert_allclose(pr.xi2, [-1, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(pr.xi3, np.cross([0, 0, 1], PLANAR.xdddot), atol=1e-15)
+    X = SymmetryField.reparametrization(lambda t: (np.exp(t), np.exp(t)))
+    # PLANAR is an arclength jet with H = 0 and <p_xdot, xdot> = 0.
+    assert symmetry.noether_charge(X, PLANAR) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_charge_translation():
@@ -72,7 +56,7 @@ def test_charge_equals_cartan_contraction():
         R3,
         TIME,
         SymmetryField.rotation([0.3, -1.0, 0.7]),
-        SymmetryField.reparametrization(lambda t: (np.exp(t), np.exp(t), np.exp(t), np.exp(t))),
+        SymmetryField.reparametrization(lambda t: (np.exp(t), np.exp(t))),
     ]
     jets = [
         JetState(
@@ -95,6 +79,28 @@ def test_charge_equals_cartan_contraction():
             b = symmetry.cartan_contraction(X, j)
             assert symmetry.noether_charge(X, j) == pytest.approx(b, abs=1e-12)
             assert value == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tau", [lambda t: (1.0, 0.0), lambda t: (t, 1.0), lambda t: (np.exp(t), np.exp(t))], ids=["1", "t", "e^t"]
+)
+def test_reparametrization_charge_is_the_kernel(tau):
+    # Stacked random jets off the arclength submanifold.  The density is
+    # parametrization-invariant, so H and <p_xdot, xdot> vanish on every jet
+    # and both sides are roundoff of the terms that cancel: they must agree
+    # to 1e-12 of the size of those terms.
+    rng = np.random.default_rng(29)
+    t = rng.uniform(-2.0, 2.0, 20)
+    x, xddot, xdddot = rng.normal(size=(3, 20, 3))
+    xdot = rng.normal(size=(20, 3)) + [2.0, 0.0, 0.0]
+    assert np.max(np.abs(np.linalg.norm(xdot, axis=1) - 1.0)) > 0.1
+    value = symmetry.charge(SymmetryField.reparametrization(tau), t, x, xdot, xddot, xdddot)
+    p_x, p_xdot = lagrangian.momenta(xdot, xddot, xdddot)
+    H = lagrangian.conserved(x, xdot, xddot, xdddot, p_x, p_xdot)[2]
+    v, vd = tau(t)
+    kernel = lagrangian.reparametrization_charge(v, vd, H, dot(p_xdot, xdot))
+    terms = lagrangian.density(xdot, xddot) + np.abs(dot(p_x, xdot)) + np.abs(dot(p_xdot, xddot))
+    assert np.all(np.abs(value - kernel) <= 1e-12 * (np.abs(v) + np.abs(vd)) * terms)
 
 
 def test_charges_constant_along_solutions(standard_trace_5):
@@ -152,8 +158,6 @@ def test_identity_stencil_bounds(circle_trace):
 def test_reparametrization_charge_vanishes_on_solutions(standard_trace_5):
     # J for tau(t) d/dt reduces to -tau H - tau_dot <p_xdot, xdot>, zero on
     # arclength solutions.
-    X = SymmetryField.reparametrization(
-        lambda t: (np.exp(t), np.exp(t), np.exp(t), np.exp(t))
-    )
+    X = SymmetryField.reparametrization(lambda t: (np.exp(t), np.exp(t)))
     for j in standard_trace_5.samples[::500]:
         assert abs(symmetry.noether_charge(X, j)) <= 1e-10
