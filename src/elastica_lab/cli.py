@@ -32,6 +32,8 @@ or frame data
     {"kappa0": r, "kappa_dot0": r, "tau0": r, "x0": [..],
      "frame": "standard" | [[T],[N],[B]]}
 with finite kappa0 >= 0, kappa_dot0 and tau0 (`closed` also reads "lambda").
+Either form may give "lambda".  A key outside the config's form, and a bool or
+a string for kappa0, kappa_dot0, tau0 or lambda, is refused.
 A run prints one "warning:" line on stderr that names each given input its
 command does not read (see `_config`).
 
@@ -79,8 +81,13 @@ EXIT_NUMERIC = 3
 TRACE_HEADER = (
     "s,x1,x2,x3,xd1,xd2,xd3,xdd1,xdd2,xdd3,xddd1,xddd2,xddd3,kappa,tau"
 )
+# The keys of the frame and the raw-jet config forms.
+_FRAME_KEYS = {"kappa0", "kappa_dot0", "tau0", "lambda", "x0", "frame"}
+_RAW_KEYS = {"x0", "xdot0", "xddot0", "xdddot0", "lambda"}
 _CSV_CHUNK = 512  # rows per format call in _write_csv
-_READ_CHUNK = 1 << 20  # bytes per read when a kept trace's file is checked
+# Bytes per read when a kept trace's file is checked; a 1 MB chunk could fault
+# in fresh heap pages after each heap trim, making `compare` up to 1.5x slower.
+_READ_CHUNK = 1 << 16
 # One pass of the lab writes three curve traces, then audits and compares
 # them, so three kept traces serve every read of a pass.
 _KEPT_TRACES = 3
@@ -101,6 +108,12 @@ def load_config(path):
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
+    unknown = sorted(set(cfg) - (_FRAME_KEYS if "kappa0" in cfg else _RAW_KEYS))
+    if unknown:
+        raise InputError(f"bad config: unknown key {', '.join(map(repr, unknown))}")
+    for key in ("kappa0", "kappa_dot0", "tau0", "lambda"):
+        if isinstance(cfg.get(key), (bool, str)):
+            raise InputError(f"bad config: {key} must be a number, not {cfg[key]!r}")
     return cfg
 
 

@@ -3,6 +3,10 @@
 Everything here re-derives per-sample quantities from the trace alone, so a
 trace written to disk and read back can be audited without its generator.
 Used by the CLI `invariants` report and by the test suite.
+
+No report row reads H, <p_xdot, xdot> or c + <l, p>/4: they vanish on every
+jet by the lab's own formulas.  c is `conserved`'s, and l, whose x cross p
+part rounds with |x|, is read for l_drift alone.
 """
 
 import numpy as np
@@ -11,7 +15,7 @@ from .closed import quadrature_residual
 from .frenet import KAPPA_MIN, curvature
 from .geometry import arclength_conditions, dot
 from .hamiltonian import constraints
-from .lagrangian import central_el_residual, conserved, momenta, reparametrization_charge
+from .lagrangian import central_el_residual, conserved, momenta
 
 # The acceptance values for a standard run, per invariant_report residual.
 TOLERANCES = {
@@ -19,13 +23,10 @@ TOLERANCES = {
     "el_residual": 1e-5,
     "p_drift": 1e-8,
     "l_drift": 1e-8,
-    "H_abs": 1e-10,
     "c_drift": 1e-8,
-    "scalar4": 1e-8,
     "scalar5": 1e-8,
     "xdot_p": 1e-8,
     "first_integral": 1e-8,
-    "repar_charge": 1e-6,
 }
 
 # Two parameter values closer than this lie on one grid: the steps or start
@@ -78,41 +79,26 @@ def relative_drift(values):
     return float(np.max(dev)) / scale
 
 
-def _scalar_identities(xdot, p, l, c, kappa, kappa_dot):
-    lp = dot(l, p)
-    scalar4 = c + 0.25 * lp
-    scalar5 = quadrature_residual(kappa, kappa_dot, 0.0, dot(p, p), lp)
-    xdot_p = dot(xdot, p) + kappa**2
-    return scalar4, scalar5, xdot_p
+def _curvature_identities(xdot, p, c, kappa, kappa_dot):
+    """Per-sample (scalar5, xdot_p, first_integral): the lambda = 0 quadrature
+    relation with |c| = |p| and j = -4c, <xdot, p> + kappa^2, and 4x the
+    deviation of kappa_dot^2 + kappa^4/4 + c0^2/kappa^2 from |p0|^2/4."""
+    scalar5 = quadrature_residual(kappa, kappa_dot, 0.0, dot(p, p), -4.0 * c)
+    first_integral = quadrature_residual(kappa, kappa_dot, 0.0, dot(p[0], p[0]), -4.0 * c[0])
+    return scalar5, dot(xdot, p) + kappa**2, first_integral
 
 
 def scalar_identity_residuals(trace):
     """Pointwise residuals of the reduced-scalar identities, per sample:
 
     scalar4: kappa^2 tau + <l,p>/4
-    scalar5: the quadrature relation at lambda = 0, |c| = |p| and j = <l,p>
+    scalar5: the quadrature relation at lambda = 0, |c| = |p| and j = -4c
     xdot_p:  <xdot, p> + kappa^2
     """
     p, l, _, c = momentum_arrays(trace)
     kappa, kappa_dot, _ = curvature_arrays(trace)
-    return _scalar_identities(trace.xdot, p, l, c, kappa, kappa_dot)
-
-
-def reparametrization_charges(t, H, p_xdot, xdot):
-    """lagrangian.reparametrization_charge for tau(t) in {1, t, e^t}, from
-    per-sample parameters, Hamiltonian and momenta; (N, 3) array, one column
-    per generator.
-
-    Each column is divided by |tau| + |tau_dot|, so that the size of the
-    generator does not scale up roundoff in H; for e^t that is the charge of
-    (1/2, 1/2) at every t, so e^t, which overflows past t = 709.78, is never formed.
-    """
-    pv = dot(p_xdot, xdot)
-
-    def k(tau, tau_dot):
-        return reparametrization_charge(tau, tau_dot, H, pv)
-
-    return np.stack([k(1.0, 0.0), k(t, 1.0) / (np.abs(t) + 1.0), k(0.5, 0.5)], axis=1)
+    scalar5, xdot_p, _ = _curvature_identities(trace.xdot, p, c, kappa, kappa_dot)
+    return c + 0.25 * dot(l, p), scalar5, xdot_p
 
 
 def position_discrepancy(trace_a, trace_b):
@@ -143,26 +129,19 @@ def invariant_report(trace):
     each.  Returns (report dict, ok flag).
     """
     p_x, p_xdot = _momenta(trace)
-    p, l, H, c = _conserved(trace, p_x, p_xdot)
+    p, l, _, c = _conserved(trace, p_x, p_xdot)
     kappa, kappa_dot, _ = curvature_arrays(trace)
     defects = arclength_defects(trace)
-    scalar4, scalar5, xdot_p = _scalar_identities(trace.xdot, p, l, c, kappa, kappa_dot)
-    # The quadrature relation with the initial momenta: 4x the deviation of
-    # kappa_dot^2 + kappa^4/4 + <l0,p0>^2/(16 kappa^2) from |p0|^2/4.
-    fi = quadrature_residual(kappa, kappa_dot, 0.0, dot(p[0], p[0]), dot(l[0], p[0]))
-    charges = reparametrization_charges(trace.params(), H, p_xdot, trace.xdot)
+    scalar5, xdot_p, fi = _curvature_identities(trace.xdot, p, c, kappa, kappa_dot)
 
     measured = {
         "arclength": float(np.max(np.abs(defects))),
         "p_drift": relative_drift(p),
         "l_drift": relative_drift(l),
-        "H_abs": float(np.max(np.abs(H))),
         "c_drift": relative_drift(c),
-        "scalar4": float(np.max(np.abs(scalar4))),
         "scalar5": float(np.max(np.abs(scalar5))),
         "xdot_p": float(np.max(np.abs(xdot_p))),
         "first_integral": 0.25 * float(np.max(np.abs(fi))),
-        "repar_charge": float(np.max(np.abs(charges))),
     }
     if len(trace) >= 5:
         el = central_el_residual(p_x, trace.step)

@@ -9,9 +9,9 @@ which equals kappa^2 |xdot|.  Dynamics are integrated in the arclength gauge
 only; the undetermined parallel part of the fourth derivative is fixed there
 by differentiating the arclength conditions.
 
-`density`, `momenta`, `conserved` and `reparametrization_charge` broadcast
-over arrays; the single-jet functions and the trace audits in `diagnostics`
-both call them.
+`density`, `momenta` and `conserved` broadcast over arrays; the single-jet
+functions and the trace audits in `diagnostics` both call them.  `conserved`'s
+c is the one torsion constant of the lab.
 """
 
 import numpy as np

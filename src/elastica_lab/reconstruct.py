@@ -5,9 +5,9 @@ to it.  Along p the velocity is <xdot, p> = -kappa^2; perpendicular to p the
 unit vectors D = (xdot x p)/|xdot x p| and E = ((xdot x p) x p)/|...| rotate
 rigidly at the rate
 
-    Omega = <l, p> |p| / (2 (|p|^2 - kappa^4)),
+    Omega = -4c |p| / (2 (|p|^2 - kappa^4)),
 
-so with phi = integral of Omega,
+with c = kappa^2 tau of `lagrangian.conserved`, so with phi = integral of Omega,
 
     D(s) =  cos(phi) D0 - sin(phi) E0,
     E(s) =  sin(phi) D0 + cos(phi) E0,
@@ -28,7 +28,7 @@ from .frenet import KAPPA_MIN, curvature
 from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
 from .ode import cumulative_hermite
-from .scalar import constants_from_momenta, integrate_scalar, torsion_from_c
+from .scalar import integrate_scalar, torsion_from_c
 
 # Relative floor for |p|^2 - kappa^4; below it xdot is numerically parallel
 # to p and the generic branch is invalid.
@@ -74,10 +74,10 @@ def frame_DE(j, p):
 
 def phase_phi(kappa, kappa_dot, cs, step):
     """Accumulated rotation angle phi(s) of the (D, E) frame on the grid, by
-    the cubic Hermite rule with Omega' = 2 <l,p> |p| kappa^3 kappa_dot/(|p|^2 - kappa^4)^2."""
+    the cubic Hermite rule with Omega' = -8c |p| kappa^3 kappa_dot/(|p|^2 - kappa^4)^2."""
     kappa = np.asarray(kappa, dtype=float)
     p2 = dot(cs.p, cs.p)
-    scale = dot(cs.l, cs.p) * np.sqrt(p2)
+    scale = -4.0 * cs.c * np.sqrt(p2)
     denom = p2 - kappa**4
     if np.any(denom <= DENOMINATOR_FLOOR * p2):
         raise ValueError("|p|^2 - kappa^4 hit the floor: generic branch invalid")
@@ -112,7 +112,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
 
     w = np.sqrt(p2 - kappa**4)
-    tau = torsion_from_c(kappa, constants_from_momenta(cs)[0])
+    tau = torsion_from_c(kappa, cs.c)
     xdot = -np.outer(kappa**2 / p2, p) - (w / pn)[:, None] * E
 
     # Frame recovery over (phat, D, E): components follow from the moving-frame
@@ -192,15 +192,15 @@ def reduce_jet(j0, cs):
     """Reduce an arclength jet with conserved set cs to the curvature problem.
 
     Returns (branch, kappa0, kappa_dot0, c).  The torsion constant c is
-    -<l,p>/4 on the generic branch and exactly 0 on the planar one, where the
-    momenta give it only to roundoff; the line branch has no curvature
+    cs.c on the generic branch and exactly 0 on the planar one, where the
+    jet gives it only to roundoff; the line branch has no curvature
     dynamics and returns kappa_dot0 = c = 0.
     """
     kappa0, kappa_dot0, tau0 = (float(v) for v in curvature(j0.xdot, j0.xddot, j0.xdddot))
     branch = classify_case(cs, kappa0, tau0)
     if branch is Branch.DEGENERATE_LINE:
         return branch, kappa0, 0.0, 0.0
-    c = constants_from_momenta(cs)[0] if branch is Branch.GENERIC else 0.0
+    c = cs.c if branch is Branch.GENERIC else 0.0
     return branch, kappa0, kappa_dot0, c
 
 

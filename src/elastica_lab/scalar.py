@@ -1,7 +1,8 @@
 """Reduced scalar dynamics of curvature: the curvature equation, free or
 length-constrained, solved in closed form.
 
-With c = kappa^2 tau (constant along solutions), the free elastica is the
+With c = kappa^2 tau (constant along solutions; from a jet it is
+lagrangian.conserved's <xdot x xddot, xdddot>), the free elastica is the
 lambda = 0, j = -4c case of closed.constrained_scalar_rhs,
 
     kappa_ddot = -kappa^3/2 + c^2/kappa^3,
@@ -39,11 +40,6 @@ def torsion_from_c(kappa, c):
     if np.any(np.abs(kappa) <= KAPPA_MIN):
         raise ValueError(f"kappa <= {KAPPA_MIN} with c = {c}: torsion singular")
     return c / kappa**2
-
-
-def constants_from_momenta(cs):
-    """(c, energy_level) from the momenta: c = -<l,p>/4, level = |p|^2/4."""
-    return -0.25 * float(np.dot(cs.l, cs.p)), 0.25 * float(np.dot(cs.p, cs.p))
 
 
 def _carlson_rf(x, y, z):

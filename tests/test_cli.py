@@ -69,7 +69,6 @@ def test_simulate_then_invariants_pass(tmp_path):
     assert run(["invariants", "--trace", out, "--report", report]) == 0
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["violations"] == []
-    assert payload["residuals"]["H_abs"] <= payload["tolerances"]["H_abs"]
 
 
 def test_invariants_report_is_the_json_dump_bytes(tmp_path):
@@ -343,8 +342,6 @@ def test_simulate_long_drift_exits_3(tmp_path, capsys):
 
 
 def test_long_hamiltonian_trace_has_no_false_violation(tmp_path):
-    # The reparametrization charge of the e^t generator used to scale
-    # roundoff in H by e^t and flag every accurate trace past s ~ 25.
     cfg = write_cfg(tmp_path, FRAME_CFG)
     out = str(tmp_path / "ham.csv")
     report = tmp_path / "report.json"
@@ -352,7 +349,6 @@ def test_long_hamiltonian_trace_has_no_false_violation(tmp_path):
     assert run(["invariants", "--trace", out, "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
     assert payload["violations"] == []
-    assert payload["residuals"]["repar_charge"] <= 1e-12
 
 
 def test_coarse_hamiltonian_run_passes_the_range_check(tmp_path):
@@ -466,6 +462,58 @@ def test_bad_initial_data_exits_2(tmp_path, capsys, case, command):
     assert run([command, "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 2
     assert capsys.readouterr().err.startswith(f"{command} failed: bad config: ")
     assert not out.exists()
+
+
+# Configs refused with the message that names their key: a key outside the
+# config's form (a misspelling would otherwise run with its default), and a
+# bool or a string for a number (True would run as 1).
+REFUSED_CONFIGS = {
+    "kappa_dot": ({"kappa0": 1.0, "kappa_dot": 5.0, "tau0": 0.2}, "unknown key 'kappa_dot'"),
+    "xdot": ({**{k: v for k, v in LINE_CFG.items() if k != "xdot0"}, "xdot": [1.0, 0.0, 0.0]}, "unknown key 'xdot'"),
+    "kappa0": (dict(FRAME_CFG, kappa0=True), "kappa0 must be a number, not True"),
+    "tau0": (dict(FRAME_CFG, tau0="0.2"), "tau0 must be a number, not '0.2'"),
+    "lambda": (dict(FRAME_CFG, **{"lambda": "1"}), "lambda must be a number, not '1'"),
+}
+
+
+@pytest.mark.parametrize("key", REFUSED_CONFIGS)
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_a_config_key_outside_its_form_or_a_non_number_exits_2(tmp_path, capsys, key, command):
+    out = tmp_path / "out.csv"
+    cfg, message = REFUSED_CONFIGS[key]
+    assert run([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 2
+    assert capsys.readouterr().err == f"{command} failed: bad config: {message}\n"
+    assert not out.exists()
+
+
+FAR = [1e9, 1e9, 0.0]
+
+
+@pytest.mark.parametrize("command", JET_COMMANDS)
+def test_runs_and_audits_do_not_depend_on_the_start_point(tmp_path, command):
+    # The torsion constant is the triple product <xdot x xddot, xdddot>, which
+    # reads no position: every column but x, and every audit residual but
+    # l_drift, is the same bit for bit at the origin and at x0 = FAR.
+    columns, residuals = [], []
+    for i, x0 in enumerate(([0.0, 0.0, 0.0], FAR)):
+        cfg = write_cfg(tmp_path, dict(FRAME_CFG, x0=x0), f"cfg{i}.json")
+        out = str(tmp_path / f"out{i}.csv")
+        assert run([command, "--config", cfg, "--out", out, "--step", "1e-3", "--length", "2"]) == 0
+        with open(out, encoding="utf-8") as fh:
+            columns.append(list(zip(*(line.rstrip("\n").split(",") for line in fh))))
+        if command != "reduce":
+            report = tmp_path / f"report{i}.json"
+            assert run(["invariants", "--trace", out, "--report", str(report)]) == 0
+            residuals.append(json.loads(report.read_text())["residuals"])
+            residuals[-1].pop("l_drift")
+    near, far = columns
+    if command != "reduce":
+        x_near, x_far = (np.array([column[1:] for column in c[1:4]], dtype=float).T for c in (near, far))
+        # A march rounds x near 1e9 once per step, by at most half an ulp.
+        np.testing.assert_allclose(x_far - FAR, x_near, rtol=0.0, atol=len(x_near) * np.spacing(1e9) / 2)
+        near, far = near[:1] + near[4:], far[:1] + far[4:]
+        assert residuals[0] == residuals[1]
+    assert near == far
 
 
 @pytest.mark.parametrize("command", RUN_COMMANDS)

@@ -47,20 +47,6 @@ def test_first_integral_drift():
     assert np.max(np.abs(fi - fi[0])) / abs(fi[0]) <= 1e-8
 
 
-def test_constants_from_momenta():
-    cs = lagrangian.conserved_momenta(frame_jet(1.0, 0.0, 0.0))
-    c, level = scalar.constants_from_momenta(cs)
-    assert c == pytest.approx(0.0, abs=1e-15)
-    assert level == pytest.approx(0.25, abs=1e-14)
-
-
-def test_zero_momentum_forces_flat_level(line_jet):
-    cs = lagrangian.conserved_momenta(line_jet)
-    c, level = scalar.constants_from_momenta(cs)
-    assert c == 0.0
-    assert level == 0.0
-
-
 def test_first_integral_equals_momentum_level(standard_trace_5, ham_trace):
     # Along the direct trace and the unprojected Hamiltonian flow.
     for trace in (standard_trace_5, hamiltonian.jet_trace(ham_trace)):
