@@ -47,6 +47,14 @@ def test_first_integral_drift():
     assert np.max(np.abs(fi - fi[0])) / abs(fi[0]) <= 1e-8
 
 
+def test_zero_momentum_forces_flat_level(line_jet):
+    # A straight line carries no momentum: its torsion constant and the first
+    # integral's level |p|^2/4 are both exactly zero.
+    cs = lagrangian.conserved_momenta(line_jet)
+    assert cs.c == 0.0
+    assert 0.25 * float(np.dot(cs.p, cs.p)) == 0.0
+
+
 def test_first_integral_equals_momentum_level(standard_trace_5, ham_trace):
     # Along the direct trace and the unprojected Hamiltonian flow.
     for trace in (standard_trace_5, hamiltonian.jet_trace(ham_trace)):
