@@ -358,14 +358,13 @@ def cmd_closed(args):
     kappa0, kappa_dot0, tau0, lam = _frame_scalars(_config(args), "lambda")
     count = _grid(args.step, args.length)
     j = angular_momentum_j(kappa0, tau0)
-    require_regular(kappa0, j)
-    # |c|^2 is the left side of the quadrature relation at s = 0, so the
-    # residual of row 0 is exactly 0.
-    c_sq = quadrature_residual(kappa0, kappa_dot0, lam, 0.0, j)
     s, kappa, kappa_dot = scalar.integrate_scalar(
         kappa0, kappa_dot0, -0.25 * j, args.step, count, lam
     )
     require_regular(kappa, j)
+    # |c|^2 is the left side of the quadrature relation at s = 0, so the
+    # residual of row 0 is exactly 0.
+    c_sq = quadrature_residual(kappa0, kappa_dot0, lam, 0.0, j)
     residual = quadrature_residual(kappa, kappa_dot, lam, c_sq, j)
     rows = _write_csv(args.out, "s,kappa,kappa_dot,foltinek_residual", (s, kappa, kappa_dot, residual))
     return _wrote(args.out, rows, f"; max |foltinek residual| = {np.max(np.abs(residual)):.3e}")
@@ -486,7 +485,7 @@ def main(argv=None):
     args = _parse(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, ode.IntegrationError, ValueError, MemoryError) as exc:
+    except (InputError, OSError, ode.IntegrationError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, (InputError, OSError)) else EXIT_NUMERIC
 

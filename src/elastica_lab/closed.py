@@ -18,7 +18,8 @@ relation
 
 which at lambda = 0 identifies |c| with |p| and j with <l, p>.  The free
 elastica is therefore the lambda = 0, j = -4 kappa^2 tau case of
-constrained_scalar_rhs and foltinek_invariant.
+constrained_scalar_rhs and foltinek_invariant.  `require_regular` is the one
+guard of the curvature floor kappa <= KAPPA_MIN with j != 0.
 """
 
 import numpy as np
@@ -27,10 +28,12 @@ from .frenet import KAPPA_MIN
 
 
 def require_regular(kappa, j):
-    """Raise ValueError where |kappa| <= KAPPA_MIN with j != 0: there
-    the j^2/(4 kappa^2) term of the quadrature relation is singular."""
+    """Raise ValueError where |kappa| <= KAPPA_MIN with j != 0, over a
+    scalar or an array kappa: there the twist j^2/(4 kappa^2) of the
+    quadrature relation, the torsion -j/(4 kappa^2) and the curvature
+    equation are singular.  The one guard of the curvature floor."""
     if j != 0.0 and np.any(np.abs(kappa) <= KAPPA_MIN):
-        raise ValueError(f"kappa <= {KAPPA_MIN} with j = {j}: invariant singular")
+        raise ValueError(f"kappa <= {KAPPA_MIN} with j = {j}: singular at the curvature floor")
 
 
 def quadrature_residual(kappa, kappa_dot, lam, c_sq, j):
@@ -71,8 +74,7 @@ def constrained_scalar_rhs(kappa, kappa_dot, lam, j):
     """
     if j == 0.0:
         return kappa_dot, 0.5 * lam * kappa - 0.5 * kappa**3
-    if abs(kappa) <= KAPPA_MIN:
-        raise ValueError(f"kappa = {kappa} with j = {j}: rhs singular")
+    require_regular(kappa, j)
     return (
         kappa_dot,
         0.5 * lam * kappa - 0.5 * kappa**3 + j**2 / (16.0 * kappa**3),

@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from .geometry import FrenetFrame, JetState, cross, dot, norm
-from .lagrangian import ARCLENGTH_TOL
+from .geometry import FrenetFrame, JetState, cross, dot, norm, require_near
 
 # Below this curvature the normal N = xddot/kappa amplifies noise past usable
 # precision at the default step size; frame extraction refuses to proceed.
@@ -28,8 +27,7 @@ def frenet_frame(j):
     """Extract (T, N, B, kappa, tau) from an arclength jet by curvature:
     T = xdot, N = xddot/kappa and B = T x N.
     """
-    if not j.is_arclength(tol=ARCLENGTH_TOL):
-        raise ValueError("frenet_frame needs an arclength jet")
+    require_near(j.arclength_defects(), "off the arclength submanifold")
     kappa, _, tau = curvature(j.xdot, j.xddot, j.xdddot)
     if kappa <= KAPPA_MIN:
         raise ValueError(f"kappa = {kappa} <= {KAPPA_MIN}: use the straight-line branch")

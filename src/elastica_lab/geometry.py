@@ -12,9 +12,13 @@ from functools import cached_property
 import numpy as np
 
 # Absolute tolerance for representation-level invariants (orthonormality,
-# arclength conditions at construction).  Trajectory drift uses its own,
-# looser tolerances declared where each run is checked.
+# arclength conditions at construction).  Trajectory drift uses DRIFT_TOL.
 INVARIANT_TOL = 1e-10
+
+# How far a point may sit off its manifold, the arclength submanifold of jets
+# or the constraint set of phase points, and still be accepted: looser than
+# INVARIANT_TOL, so that integrated traces with accumulated drift stay usable.
+DRIFT_TOL = 1e-6
 
 
 def vec3(v):
@@ -52,6 +56,18 @@ def arclength_conditions(xdot, xddot, xdddot):
     """
     conditions = (dot(xdot, xdot) - 1.0, dot(xdot, xddot), dot(xdot, xdddot) + dot(xddot, xddot))
     return np.stack(conditions, axis=-1)
+
+
+def require_near(residuals, condition, s=None):
+    """Raise ValueError unless every residual of a (..., k) array is within
+    DRIFT_TOL of 0 (a NaN is not).  The message reads "<condition> at <row>"
+    with the first bad row, or its parameter when `s` gives the rows'."""
+    bad = np.flatnonzero(~(np.max(np.abs(residuals), axis=-1) <= DRIFT_TOL))
+    if bad.size:
+        i = bad[0]
+        where = f"row {i}" if s is None else f"s = {s[i]:.6g}"
+        rows = np.reshape(residuals, (-1, np.shape(residuals)[-1]))
+        raise ValueError(f"{condition} at {where}: residuals {rows[i]} exceed DRIFT_TOL = {DRIFT_TOL}")
 
 
 @dataclass

@@ -10,6 +10,9 @@ coisotropic).  On it, the arclength-normalized flow is linear-quadratic:
 
     dx/ds = xdot,  dxdot/ds = p_xdot/2,
     dp_xdot/ds = -p_x + 3 <p_x, xdot> xdot,  dp_x/ds = 0,  dt/ds = 1.
+
+A phase point whose constraint residuals pass geometry.DRIFT_TOL is refused
+by geometry.require_near as out of the range of the Legendre transform.
 """
 
 import math
@@ -17,13 +20,12 @@ import math
 import numpy as np
 
 from . import ode
-from .geometry import CurveTrace, JetState, PhaseState, dot, norm
+from .geometry import CurveTrace, JetState, PhaseState, dot, norm, require_near
 from .lagrangian import ostrogradski_momenta, reparametrization_charge
 
-# Residual size beyond which a phase point is treated as genuinely off the
-# constraint manifold (out of the range of the Legendre transform) rather
-# than merely drifted.
-OFF_MANIFOLD_TOL = 1e-6
+# The condition named when constraint residuals exceed DRIFT_TOL: there a
+# phase point is off the constraint manifold, not merely drifted.
+_RANGE = "not in the range of the Legendre transform"
 
 
 def legendre(j):
@@ -41,19 +43,7 @@ def constraints(xdot, p_x, p_xdot):
 
 def constraint_residuals(ps):
     """(p_t, <p_xdot, xdot>, h); all three vanish on the constraint manifold."""
-    if norm(ps.xdot) == 0.0:
-        raise ValueError("xdot = 0: constraints undefined")
     return (ps.p_t, *map(float, constraints(ps.xdot, ps.p_x, ps.p_xdot)))
-
-
-def _require_in_range(residuals):
-    """Raise ValueError at the first row of constraint residuals past OFF_MANIFOLD_TOL."""
-    residuals = np.atleast_2d(residuals)
-    bad = np.flatnonzero(np.max(np.abs(residuals), axis=1) > OFF_MANIFOLD_TOL)
-    if bad.size:
-        raise ValueError(
-            f"not in the range of the Legendre transform at row {bad[0]}: {residuals[bad[0]]}"
-        )
 
 
 def arclength_fiber(xdot, p_x, p_xdot):
@@ -74,24 +64,16 @@ def arclength_fiber(xdot, p_x, p_xdot):
 
 def arclength_jet_from_phase(ps):
     """The arclength-gauge fiber point over one constraint point."""
-    _require_in_range(constraint_residuals(ps))
+    require_near(constraint_residuals(ps), _RANGE)
     return JetState(ps.t, ps.x, ps.xdot, *arclength_fiber(ps.xdot, ps.p_x, ps.p_xdot))
 
 
 def jet_trace(phase):
     """The arclength-gauge jet trace over a phase trace, every row of which
     must be in the range of the Legendre transform."""
-    _require_in_range(np.stack(constraints(phase.xdot, phase.p_x, phase.p_xdot), axis=-1))
+    require_near(np.stack(constraints(phase.xdot, phase.p_x, phase.p_xdot), axis=-1), _RANGE)
     jets = np.hstack([phase.x, phase.xdot, *arclength_fiber(phase.xdot, phase.p_x, phase.p_xdot)])
     return CurveTrace(phase.step, jets, t0=phase.t0, metadata=phase.metadata)
-
-
-def _require_flow_point(ps):
-    """Raise ValueError unless ps is on the constraint manifold with
-    |xdot| = 1, where the arclength-normalized flow is defined."""
-    _require_in_range(constraint_residuals(ps))
-    if abs(norm(ps.xdot) - 1.0) > OFF_MANIFOLD_TOL:
-        raise ValueError(f"flow needs arclength normalization, |xdot| = {norm(ps.xdot)}")
 
 
 def diff_momentum(ps, tau, tau_dot):
@@ -133,15 +115,21 @@ _flat_rhs = ode.Field(
 
 
 def integrate_flow(ps0, step, count, method="rk4", project=False):
-    """Integrate the constrained flow from an on-manifold phase point.
+    """Integrate the constrained flow from a phase point on the constraint
+    manifold with |xdot| = 1, where the arclength-normalized flow is defined.
 
     With project=True the constraints are re-imposed after every step;
     the default measures true drift.  Returns a phase CurveTrace, whose
     p_t is 0 (the flow keeps p_t constant and the manifold has p_t = 0).
+    As in lagrangian.integrate_elastica, x is marched from 0 and x0 added
+    after, since the flow reads no position.
     """
-    _require_flow_point(ps0)
-    integrator = ode.integrator(method)
+    require_near(constraint_residuals(ps0), _RANGE)
+    require_near([norm(ps0.xdot) - 1.0], "flow needs arclength normalization |xdot| = 1")
+    y0 = ps0.to_array()
+    y0[:3] *= 0.0  # x from 0, signed like x0: row 0 is x0 bit for bit
     hook = project_constraints if project else None
-    _, ys = integrator(_flat_rhs, ps0.to_array(), step, count, t0=ps0.t, project=hook)
+    _, ys = ode.integrator(method)(_flat_rhs, y0, step, count, t0=ps0.t, project=hook)
+    ys[:, :3] += ps0.x
     metadata = {"gauge": "arclength", "integrator": method, "projected": bool(project)}
     return CurveTrace(step, ys, t0=ps0.t, kind="phase", metadata=metadata)

@@ -11,31 +11,23 @@ by differentiating the arclength conditions.
 
 `density`, `momenta` and `conserved` broadcast over arrays; the single-jet
 functions and the trace audits in `diagnostics` both call them.  `conserved`'s
-c is the one torsion constant of the lab.
+c is the one torsion constant of the lab.  `speed` is the one xdot = 0 guard
+of a jet; jets and traces off the arclength submanifold are refused by
+geometry.require_near at DRIFT_TOL.
 """
 
 import numpy as np
 
 from . import ode
-from .geometry import ConservedSet, CurveTrace, JetState, arclength_conditions, cross, dot, norm
+from .geometry import ConservedSet, CurveTrace, JetState, arclength_conditions, cross, dot, norm, require_near
 
 
-# How far a jet may sit off the arclength submanifold and still be accepted
-# by the arclength-gauge operations.  Looser than construction-level checks
-# so integrated traces with accumulated drift remain usable.
-ARCLENGTH_TOL = 1e-6
-
-
-def _speed(j):
+def speed(j):
+    """|xdot| of one jet; raises ValueError at xdot = 0."""
     v = norm(j.xdot)
     if not v > 0.0:
         raise ValueError("xdot = 0: off the domain of the Lagrangian")
     return v
-
-
-def _require_arclength(j):
-    if not j.is_arclength(tol=ARCLENGTH_TOL):
-        raise ValueError(f"jet violates arclength conditions: defects {j.arclength_defects()}")
 
 
 def density(xdot, xddot):
@@ -92,13 +84,13 @@ def reparametrization_charge(tau, tau_dot, H, pv):
 
 def lagrangian_density(j):
     """The density L at one jet."""
-    _speed(j)
+    speed(j)
     return float(density(j.xdot, j.xddot))
 
 
 def ostrogradski_momenta(j):
     """Canonical momenta (p_x, p_xdot) at one jet."""
-    _speed(j)
+    speed(j)
     return momenta(j.xdot, j.xddot, j.xdddot)
 
 
@@ -114,7 +106,7 @@ def central_el_residual(p_x, step):
 
 def conserved_momenta(j):
     """All conserved quantities of one arclength jet, as a ConservedSet."""
-    _require_arclength(j)
+    require_near(j.arclength_defects(), "off the arclength submanifold")
     p, l, H, c = conserved(j.x, j.xdot, j.xddot, j.xdddot, *momenta(j.xdot, j.xddot, j.xdddot))
     return ConservedSet(p=p, l=l, H=H, c=c)
 
@@ -125,7 +117,7 @@ def project_arclength(j):
     xdot is normalized, xddot loses its tangential part, and the tangential
     part of xdddot is set to -|xddot|^2 xdot.  Idempotent.
     """
-    v = _speed(j)
+    v = speed(j)
     t_hat = j.xdot / v
     xdd = j.xddot - dot(j.xddot, t_hat) * t_hat
     xdd = xdd - dot(xdd, t_hat) * t_hat
@@ -151,19 +143,16 @@ def integrate_elastica(j0, step, count, method="rk4"):
 
     Returns a jet CurveTrace spaced by `step`.  Direct integration drifts off
     the arclength submanifold over long arcs, so a trace with an arclength
-    defect above ARCLENGTH_TOL raises IntegrationError at its first bad row.
+    defect above DRIFT_TOL raises ValueError at its first bad s.  The field
+    reads no position, so x is marched from 0 and x0 added after: the
+    rk45 step control then does not depend on |x0|.
     """
-    _require_arclength(j0)
-    integrator = ode.integrator(method)
-    _, ys = integrator(_flat_rhs, j0.to_array(), step, count, t0=j0.t)
+    require_near(j0.arclength_defects(), "off the arclength submanifold")
+    y0 = j0.to_array()
+    y0[:3] *= 0.0  # x from 0, signed like x0: row 0 is x0 bit for bit
+    _, ys = ode.integrator(method)(_flat_rhs, y0, step, count, t0=j0.t)
+    ys[:, :3] += j0.x
     trace = CurveTrace(step, ys, t0=j0.t, metadata={"gauge": "arclength", "integrator": method})
-    defects = np.abs(arclength_conditions(trace.xdot, trace.xddot, trace.xdddot))
-    bad = np.flatnonzero(np.max(defects, axis=1) > ARCLENGTH_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise ode.IntegrationError(
-            f"off the arclength submanifold at s = {trace.params()[i]:.6g}: "
-            f"defects {defects[i]} exceed {ARCLENGTH_TOL}",
-            i,
-        )
+    conditions = arclength_conditions(trace.xdot, trace.xddot, trace.xdddot)
+    require_near(conditions, "off the arclength submanifold", trace.params())
     return trace

@@ -20,16 +20,15 @@ whose roots u1 <= u2 <= u3 give (Langer & Singer, J. London Math. Soc. 1984)
 
 For c = 0 and u1 < 0 = u2 the curvature is signed and passes through zero:
 kappa = sqrt(u3) cn(w s + z0 | m).  For c != 0 the first integral forbids
-kappa -> 0, so a start at the curvature floor is a numeric failure.
+kappa -> 0, so a start at the curvature floor is a numeric failure, refused
+by closed.require_regular.
 """
 
 import math
 
 import numpy as np
 
-from . import ode
-from .closed import constrained_scalar_rhs
-from .frenet import KAPPA_MIN
+from .closed import constrained_scalar_rhs, require_regular
 
 
 def torsion_from_c(kappa, c):
@@ -37,8 +36,7 @@ def torsion_from_c(kappa, c):
     kappa = np.asarray(kappa, dtype=float)
     if c == 0.0:
         return np.zeros_like(kappa)
-    if np.any(np.abs(kappa) <= KAPPA_MIN):
-        raise ValueError(f"kappa <= {KAPPA_MIN} with c = {c}: torsion singular")
+    require_regular(kappa, -4.0 * c)
     return c / kappa**2
 
 
@@ -123,15 +121,14 @@ def integrate_scalar(kappa0, kappa_dot0, c, step, count, lam=0.0):
     curvature equation with torsion constant c and multiplier lam (0 for the
     free elastica); returns (s, kappa, kappa_dot) arrays.
 
-    Raises ode.IntegrationError when c != 0 and kappa0 is at the curvature
-    floor, where the torsion is singular.
+    Raises ValueError (closed.require_regular) when c != 0 and kappa0 is at
+    the curvature floor, where the torsion is singular.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if c != 0.0 and abs(kappa0) <= KAPPA_MIN:
-        raise ode.IntegrationError(f"kappa0 = {kappa0} at the floor {KAPPA_MIN} with c = {c}")
+    require_regular(kappa0, -4.0 * c)
     s = step * np.arange(count + 1)
     kappa = np.full(count + 1, float(kappa0))
     kappa_dot = np.zeros(count + 1)
@@ -145,13 +142,14 @@ def integrate_scalar(kappa0, kappa_dot0, c, step, count, lam=0.0):
     # Amplitude of the start: sn^2 = (u3 - u0)/(u3 - u2), cn^2 = (u0 - u2)/(u3 - u2).
     # Near a turning point the smaller difference is taken from
     # u'(0)^2 = 4 u0 kappa_dot0^2 = (u3 - u0)(u0 - u2)(u0 - u1), not by cancellation.
+    # Both are 0 when the amplitude is below rounding; then u stays at u0.
     u0 = kappa0 * kappa0
     q = 4.0 * u0 * kappa_dot0**2
     top, bottom = max(u3 - u0, 0.0), max(u0 - u2, 0.0)
     if top < bottom:
         top = q / (bottom * (u0 - u1)) if q else 0.0
     else:
-        bottom = q / (top * (u0 - u1)) if q else 0.0
+        bottom = q / (top * (u0 - u1)) if q and top else 0.0
     amp = math.atan2(math.sqrt(top), kappa0 if signed else math.sqrt(bottom))
     # |kappa| falls on [0, K] (kappa itself on [0, 2K] when signed).
     rising = kappa_dot0 > 0.0 if signed else kappa0 * kappa_dot0 > 0.0

@@ -353,7 +353,7 @@ def test_long_hamiltonian_trace_has_no_false_violation(tmp_path):
 
 def test_coarse_hamiltonian_run_passes_the_range_check(tmp_path):
     # At h = 5e-3 one row drifts 1.003e-10 off the constraint manifold, well
-    # inside the flow's own OFF_MANIFOLD_TOL; the audit still flags l_drift.
+    # inside the flow's DRIFT_TOL; the audit still flags l_drift.
     cfg = write_cfg(tmp_path, FRAME_CFG)
     out = str(tmp_path / "ham.csv")
     report = tmp_path / "report.json"
@@ -489,31 +489,76 @@ def test_a_config_key_outside_its_form_or_a_non_number_exits_2(tmp_path, capsys,
 FAR = [1e9, 1e9, 0.0]
 
 
+def _columns(out):
+    with open(out, encoding="utf-8") as fh:
+        return list(zip(*(line.rstrip("\n").split(",") for line in fh)))
+
+
+def _assert_only_x_moves(near, far):
+    """Trace columns at the origin and at x0 = FAR: x - FAR is the origin
+    run's x rounded once near 1e9, and every other column is the same bit
+    for bit."""
+    x_near, x_far = (np.array([column[1:] for column in c[1:4]], dtype=float).T for c in (near, far))
+    np.testing.assert_allclose(x_far - FAR, x_near, rtol=0.0, atol=np.spacing(1e9) / 2)
+    assert near[:1] + near[4:] == far[:1] + far[4:]
+
+
 @pytest.mark.parametrize("command", JET_COMMANDS)
 def test_runs_and_audits_do_not_depend_on_the_start_point(tmp_path, command):
     # The torsion constant is the triple product <xdot x xddot, xdddot>, which
-    # reads no position: every column but x, and every audit residual but
-    # l_drift, is the same bit for bit at the origin and at x0 = FAR.
+    # reads no position, and the marches start x at 0: every column but x, and
+    # every audit residual but l_drift, is the same bit for bit at the origin
+    # and at x0 = FAR.
     columns, residuals = [], []
     for i, x0 in enumerate(([0.0, 0.0, 0.0], FAR)):
         cfg = write_cfg(tmp_path, dict(FRAME_CFG, x0=x0), f"cfg{i}.json")
         out = str(tmp_path / f"out{i}.csv")
         assert run([command, "--config", cfg, "--out", out, "--step", "1e-3", "--length", "2"]) == 0
-        with open(out, encoding="utf-8") as fh:
-            columns.append(list(zip(*(line.rstrip("\n").split(",") for line in fh))))
+        columns.append(_columns(out))
         if command != "reduce":
             report = tmp_path / f"report{i}.json"
             assert run(["invariants", "--trace", out, "--report", str(report)]) == 0
             residuals.append(json.loads(report.read_text())["residuals"])
             residuals[-1].pop("l_drift")
-    near, far = columns
-    if command != "reduce":
-        x_near, x_far = (np.array([column[1:] for column in c[1:4]], dtype=float).T for c in (near, far))
-        # A march rounds x near 1e9 once per step, by at most half an ulp.
-        np.testing.assert_allclose(x_far - FAR, x_near, rtol=0.0, atol=len(x_near) * np.spacing(1e9) / 2)
-        near, far = near[:1] + near[4:], far[:1] + far[4:]
+    if command == "reduce":
+        assert columns[0] == columns[1]
+    else:
+        _assert_only_x_moves(*columns)
         assert residuals[0] == residuals[1]
-    assert near == far
+
+
+@pytest.mark.parametrize("command", ["simulate", "hamiltonian"])
+def test_far_start_does_not_loosen_rk45(tmp_path, command):
+    # The rk45 error scale grows with max |y|; were x marched at its size
+    # near 1e9, it would accept substep errors up to 0.1 and leave the
+    # manifold at once.
+    columns = []
+    for i, x0 in enumerate(([0.0, 0.0, 0.0], FAR)):
+        cfg = write_cfg(tmp_path, dict(FRAME_CFG, x0=x0), f"cfg{i}.json")
+        out = str(tmp_path / f"out{i}.csv")
+        argv = [command, "--config", cfg, "--out", out, "--step", "0.5", "--length", "20", "--method", "rk45"]
+        assert run(argv) == 0
+        columns.append(_columns(out))
+    _assert_only_x_moves(*columns)
+
+
+# Finite initial data that overflow a Python float power, with the commands
+# whose scalar setup raises OverflowError on them.
+OVERFLOWING = {
+    "kappa_dot0 = 1e160": (dict(FRAME_CFG, kappa_dot0=1e160), ("reduce", "reconstruct", "closed")),
+    "lambda = 1e103": (dict(FRAME_CFG, **{"lambda": 1e103}), ("closed",)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("case, command", [(case, c) for case, (_, commands) in OVERFLOWING.items() for c in commands])
+def test_overflowing_initial_data_is_a_numeric_failure(tmp_path, capsys, case, command):
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, OVERFLOWING[case][0])
+    argv = [command, "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.count(f"{command} failed: ") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", RUN_COMMANDS)

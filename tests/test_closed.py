@@ -11,7 +11,7 @@ def test_foltinek_planar_unit_case():
 
 
 def test_foltinek_singular_floor():
-    with pytest.raises(ValueError, match="invariant singular"):
+    with pytest.raises(ValueError, match="singular at the curvature floor"):
         closed.foltinek_invariant(1e-9, 0.0, 0.0, 0.0, 1.0, 0.1)
 
 

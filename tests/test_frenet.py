@@ -39,7 +39,7 @@ def test_frame_needs_curvature():
 
 
 def test_frame_needs_arclength():
-    with pytest.raises(ValueError, match="frenet_frame needs an arclength jet"):
+    with pytest.raises(ValueError, match="off the arclength submanifold"):
         frenet.frenet_frame(JetState(0.0, [0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 0]))
 
 

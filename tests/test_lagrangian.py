@@ -188,7 +188,7 @@ def test_conserved_momenta_frame_form():
 
 
 def test_conserved_momenta_gauge_error():
-    with pytest.raises(ValueError, match="jet violates arclength conditions"):
+    with pytest.raises(ValueError, match="off the arclength submanifold"):
         lagrangian.conserved_momenta(jet([2, 0, 0], [0, 1, 0]))
 
 
@@ -230,5 +230,5 @@ def test_momentum_drift_short_run(standard_jet):
 
 
 def test_integrate_rejects_non_arclength():
-    with pytest.raises(ValueError, match="jet violates arclength conditions"):
+    with pytest.raises(ValueError, match="off the arclength submanifold"):
         lagrangian.integrate_elastica(jet([2, 0, 0], [0, 1, 0]), 1e-3, 10)
