@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 invariant violation, 2 input error (an unwritable
 a --length / --step that overflows a float, or one whose grid cannot be
 allocated).
 Commands raise; `main` alone turns a failure into exit 2 or 3 and prints it
-as "<command> failed: <reason>".
+as "<command> failed: <reason>", with numpy's floating-point warnings off.
 
 The `_COMMANDS` table is the single declaration of the subcommands and their
 options.  `main` parses with the invoked command's parser alone and falls
@@ -32,6 +32,7 @@ or frame data
     {"kappa0": r, "kappa_dot0": r, "tau0": r, "x0": [..],
      "frame": "standard" | [[T],[N],[B]]}
 with finite kappa0 >= 0, kappa_dot0 and tau0 (`closed` also reads "lambda").
+kappa0 = 0 is an inflection point unless kappa_dot0 = 0 too: a line, p = 0.
 Either form may give "lambda".  A key outside the config's form, and a bool or
 a string for kappa0, kappa_dot0, tau0 or lambda, is refused.
 A run prints one "warning:" line on stderr that names each given input its
@@ -70,7 +71,7 @@ import numpy as np
 
 from . import diagnostics, hamiltonian, lagrangian, ode, reconstruct, scalar
 from .closed import angular_momentum_j, quadrature_residual, require_regular
-from .frenet import KAPPA_MIN, jet_from_frame
+from .frenet import jet_from_frame
 from .geometry import STANDARD_FRAME, CurveTrace, FrenetFrame, JetState
 
 EXIT_OK = 0
@@ -145,8 +146,6 @@ def initial_jet(cfg):
                 raise InputError(f'bad config: frame must be "standard" or three rows [T, N, B], not {frame!r}')
             T, N, B = frame
             f = FrenetFrame(T=T, N=N, B=B, kappa=kappa0, tau=tau0)
-            if kappa0 <= KAPPA_MIN:
-                return JetState(0.0, x0, f.T, np.zeros(3), np.zeros(3)), False
             return jet_from_frame(x0, f, kappa_dot0), False
         jet = JetState(0.0, cfg["x0"], cfg["xdot0"], cfg["xddot0"], cfg["xdddot0"])
         if jet.is_arclength():
@@ -346,9 +345,7 @@ def cmd_reconstruct(args):
 
 def cmd_reduce(args):
     jet, count = _start(args)
-    branch, kappa0, kappa_dot0, c = reconstruct.reduce_jet(jet, lagrangian.conserved_momenta(jet))
-    if branch is reconstruct.Branch.DEGENERATE_LINE:
-        raise InputError("straight line: nothing to reduce")
+    _, kappa0, kappa_dot0, c = reconstruct.reduce_jet(jet, lagrangian.conserved_momenta(jet))
     s, kappa, kappa_dot = scalar.integrate_scalar(kappa0, kappa_dot0, c, args.step, count)
     tau = scalar.torsion_from_c(kappa, c)
     return _wrote(args.out, _write_csv(args.out, "s,kappa,kappa_dot,tau", (s, kappa, kappa_dot, tau)))
@@ -484,7 +481,8 @@ def main(argv=None):
     """Run one subcommand; the only place a failure becomes an exit code."""
     args = _parse(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the commands' own checks catch every non-finite value
+            return args.func(args)
     except (InputError, OSError, ode.IntegrationError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, (InputError, OSError)) else EXIT_NUMERIC

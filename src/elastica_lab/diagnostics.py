@@ -57,8 +57,8 @@ def momentum_arrays(trace):
 
 
 def curvature_arrays(trace):
-    """Per-sample (kappa, kappa_dot, tau) by frenet.curvature; kappa_dot and
-    tau are reported as 0 below the curvature floor."""
+    """Per-sample (kappa, kappa_dot, tau) by frenet.curvature; at or below the
+    curvature floor tau is 0 and kappa_dot the rate away from an inflection."""
     return curvature(trace.xdot, trace.xddot, trace.xdddot)
 
 

@@ -13,14 +13,24 @@ def curvature(xdot, xddot, xdddot):
     """(kappa, kappa_dot, tau) of arclength jets, over (..., 3) arrays:
 
     kappa = |xddot|, kappa_dot = <xddot, xdddot>/kappa and
-    tau = <xdot cross xddot, xdddot>/kappa^2; kappa_dot and tau are 0 at or
-    below KAPPA_MIN, where they are not trustworthy.
+    tau = <xdot cross xddot, xdddot>/kappa^2.  At or below KAPPA_MIN tau is 0
+    and kappa_dot is its limit |xdddot - <xdddot, xdot> xdot|, on those rows alone.
     """
     kappa = np.sqrt(dot(xddot, xddot))
     safe = np.maximum(kappa, KAPPA_MIN)
     kappa_dot = np.where(kappa > KAPPA_MIN, dot(xddot, xdddot) / safe, 0.0)
     tau = np.where(kappa > KAPPA_MIN, dot(cross(xdot, xddot), xdddot) / safe**2, 0.0)
+    floor = kappa <= KAPPA_MIN
+    if floor.any():
+        t, x3 = xdot[floor], xdddot[floor]
+        kappa_dot[floor] = np.linalg.norm(x3 - dot(x3, t)[..., None] * t, axis=-1)
     return kappa, kappa_dot, tau
+
+
+def require_frame(kappa):
+    """The one guard of a frame: raise ValueError where kappa <= KAPPA_MIN."""
+    if np.any(kappa <= KAPPA_MIN):
+        raise ValueError(f"kappa = {kappa} <= {KAPPA_MIN}: no Frenet frame at the curvature floor")
 
 
 def frenet_frame(j):
@@ -29,8 +39,7 @@ def frenet_frame(j):
     """
     require_near(j.arclength_defects(), "off the arclength submanifold")
     kappa, _, tau = curvature(j.xdot, j.xddot, j.xdddot)
-    if kappa <= KAPPA_MIN:
-        raise ValueError(f"kappa = {kappa} <= {KAPPA_MIN}: use the straight-line branch")
+    require_frame(kappa)
     T = j.xdot / norm(j.xdot)
     N = j.xddot / kappa
     B = cross(T, N)
@@ -41,9 +50,10 @@ def jet_from_frame(x, f, kappa_dot):
     """Arclength jet with the given position, frame and curvature rate.
 
     xdot = T, xddot = kappa N, xdddot = kappa_dot N - kappa^2 T + kappa tau B.
+    The + 0.0 turns the -0.0 of zero times a negative entry into 0.0, nothing else.
     """
-    xddd = kappa_dot * f.N - f.kappa**2 * f.T + f.kappa * f.tau * f.B
-    return JetState(0.0, x, f.T, f.kappa * f.N, xddd)
+    xddd = kappa_dot * f.N - f.kappa**2 * f.T + f.kappa * f.tau * f.B + 0.0
+    return JetState(0.0, x, f.T, f.kappa * f.N + 0.0, xddd)
 
 
 def fourth_derivative_frame(f, kappa_dot, kappa_ddot, tau_dot):

@@ -17,14 +17,14 @@ and  xdot(s) = -kappa^2 p / |p|^2 - (sqrt(|p|^2 - kappa^4)/|p|) E(s).
 (The rotation rate carries a factor 1/2 and the orientation above; both are
 fixed against direct integration of the fourth-order dynamics, which the
 test suite enforces.)  Planar motion (tau = 0) has a constant binormal and a
-closed form; degenerate momenta give straight lines.
+closed form; the motion is a straight line exactly where p = 0.
 """
 
 import enum
 
 import numpy as np
 
-from .frenet import KAPPA_MIN, curvature
+from .frenet import curvature, require_frame
 from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
 from .ode import cumulative_hermite
@@ -44,11 +44,12 @@ class Branch(enum.Enum):
 def classify_case(cs, kappa0, tau0):
     """Pick the reconstruction branch for the given invariants.
 
-    GENERIC needs kappa != 0 and tau != 0; PLANAR needs kappa != 0, tau = 0
-    and p not parallel to B (automatic for p != 0); everything else is a line.
+    The line is p = 0; any other jet needs a frame (frenet.require_frame).
+    GENERIC has tau != 0, PLANAR tau = 0 (p != 0 is then not parallel to B).
     """
-    if abs(kappa0) <= KAPPA_MIN or norm(cs.p) == 0.0:
+    if norm(cs.p) == 0.0:
         return Branch.DEGENERATE_LINE
+    require_frame(abs(kappa0))
     if abs(tau0) > 1e-12:
         return Branch.GENERIC
     return Branch.PLANAR
@@ -174,13 +175,9 @@ def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0
 
 
 def reconstruct_line(x0, tangent, step, count, t0=0.0):
-    """Degenerate branch: straight line with unit tangent."""
+    """Degenerate branch: straight line along the tangent of an arclength jet."""
     x0 = vec3(x0)
-    t_hat = vec3(tangent)
-    n = norm(t_hat)
-    if n == 0.0:
-        raise ValueError("line needs a nonzero tangent")
-    t_hat = t_hat / n
+    t_hat = vec3(tangent) / norm(tangent)
     arc = (step * np.arange(count + 1))[:, None]
     data = np.hstack([x0 + arc * t_hat, np.tile(t_hat, (count + 1, 1)), np.zeros((count + 1, 6))])
     return CurveTrace(
@@ -192,14 +189,11 @@ def reduce_jet(j0, cs):
     """Reduce an arclength jet with conserved set cs to the curvature problem.
 
     Returns (branch, kappa0, kappa_dot0, c).  The torsion constant c is
-    cs.c on the generic branch and exactly 0 on the planar one, where the
-    jet gives it only to roundoff; the line branch has no curvature
-    dynamics and returns kappa_dot0 = c = 0.
+    cs.c on the generic branch and exactly 0 on the others, where the jet
+    gives it only to roundoff; a line reduces to kappa = kappa_dot = 0.
     """
     kappa0, kappa_dot0, tau0 = (float(v) for v in curvature(j0.xdot, j0.xddot, j0.xdddot))
     branch = classify_case(cs, kappa0, tau0)
-    if branch is Branch.DEGENERATE_LINE:
-        return branch, kappa0, 0.0, 0.0
     c = cs.c if branch is Branch.GENERIC else 0.0
     return branch, kappa0, kappa_dot0, c
 

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,64 @@ def test_bad_initial_data_exits_2(tmp_path, capsys, case, command):
     assert not out.exists()
 
 
+# Starts at the curvature floor, as frame data; each also runs as the raw jet
+# it builds.  An inflection point (kappa0 = 0, kappa_dot0 != 0) and a start
+# below the floor have p != 0: simulate and hamiltonian follow them, and
+# reduce and reconstruct, which need a frame, exit 3.  A line is p = 0, and
+# every command runs it.
+FLOOR_STARTS = {
+    "inflection": {"kappa0": 0.0, "kappa_dot0": 0.3, "tau0": 0.0},
+    "inflection, falling": {"kappa0": 0.0, "kappa_dot0": -0.3, "tau0": 0.0},
+    "inflection, tau0 = 0.2": {"kappa0": 0.0, "kappa_dot0": 0.3, "tau0": 0.2},
+    "inflection, falling, tau0 = 0.2": {"kappa0": 0.0, "kappa_dot0": -0.3, "tau0": 0.2},
+    "sub-floor": {"kappa0": 5e-9, "kappa_dot0": 0.0, "tau0": 0.2},
+    "line": {"kappa0": 0.0},
+    "rotated line": {"kappa0": 0.0, "kappa_dot0": 0.0, "tau0": 0.2, "x0": [1.0, 2.0, 3.0],
+                     "frame": rotation(0.3, -1.1, 2.0).tolist()},
+}
+
+
+def _raw_form(cfg):
+    jet, _ = cli.initial_jet(cfg)
+    return {"x0": jet.x.tolist(), "xdot0": jet.xdot.tolist(), "xddot0": jet.xddot.tolist(),
+            "xdddot0": jet.xdddot.tolist()}
+
+
+def test_raw_forms_of_the_floor_starts():
+    # An inflection point has xddot = 0 and xdddot = kappa_dot0 N, whatever
+    # tau0; the standard-frame line is LINE_CFG.
+    inflection = dict(LINE_CFG, xdddot0=[0.0, 0.3, 0.0])
+    assert _raw_form(FLOOR_STARTS["inflection"]) == inflection
+    assert _raw_form(FLOOR_STARTS["inflection, tau0 = 0.2"]) == inflection
+    assert _raw_form(FLOOR_STARTS["line"]) == LINE_CFG
+
+
+@pytest.mark.parametrize("command", JET_COMMANDS)
+@pytest.mark.parametrize("form", ["frame", "raw"])
+@pytest.mark.parametrize("case", FLOOR_STARTS)
+def test_floor_starts(tmp_path, capsys, case, form, command):
+    cfg = FLOOR_STARTS[case] if form == "frame" else _raw_form(FLOOR_STARTS[case])
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--step", "1e-2", "--length", "2"]
+    line = case.endswith("line")
+    if command in ("reduce", "reconstruct") and not line:
+        assert run(argv) == 3
+        assert "no Frenet frame at the curvature floor" in capsys.readouterr().err
+        assert not out.exists()
+    elif command == "reduce":
+        assert run(argv) == 0
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:], 0.0)
+    else:
+        assert run(argv) == 0
+        assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "report.json")]) == 0
+        if command == "reconstruct":
+            jet, _ = cli.initial_jet(cfg)
+            assert "(branch: degenerate_line)" in capsys.readouterr().out
+            np.testing.assert_allclose(
+                cli.read_trace(str(out)).positions(), jet.x + np.outer(np.arange(201) * 1e-2, jet.xdot), atol=1e-14
+            )
+
+
 # Configs refused with the message that names their key: a key outside the
 # config's form (a misspelling would otherwise run with its default), and a
 # bool or a string for a number (True would run as 1).
@@ -558,6 +617,21 @@ def test_overflowing_initial_data_is_a_numeric_failure(tmp_path, capsys, case, c
     argv = [command, "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]
     assert run(argv) == 3
     assert capsys.readouterr().err.count(f"{command} failed: ") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_overflow_prints_only_the_failure_line(tmp_path, capsys, command):
+    # numpy warns of the overflow of kappa_dot0^2 before a check refuses it;
+    # main turns those warnings off, so stderr is the one "failed:" line.
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, OVERFLOWING["kappa_dot0 = 1e160"][0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", cfg, "--out", str(out), "--step", "1e-2", "--length", "0.1"]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: ") and err.count("\n") == 1
     assert not out.exists()
 
 

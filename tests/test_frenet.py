@@ -34,7 +34,7 @@ def test_planar_frame():
 
 def test_frame_needs_curvature():
     line = JetState(0.0, [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0])
-    with pytest.raises(ValueError, match="use the straight-line branch"):
+    with pytest.raises(ValueError, match="no Frenet frame at the curvature floor"):
         frenet.frenet_frame(line)
 
 
@@ -135,8 +135,10 @@ def test_curvature_kernel_matches_frame_rows(standard_trace_5):
         f = frenet.frenet_frame(j)
         assert kappa[i] == pytest.approx(f.kappa, abs=1e-15)
         assert tau[i] == pytest.approx(f.tau, abs=1e-15)
-    # Below the floor the rate and torsion are reported as exact zeros.
+    # Below the floor the torsion is an exact zero and the rate is the norm of
+    # xdddot's part normal to xdot, the limit of the rate away from an inflection.
     low = frenet.curvature(tr.xdot, 1e-9 * tr.xddot, tr.xdddot)
     np.testing.assert_allclose(low[0], 1e-9 * kappa, rtol=1e-15)
-    np.testing.assert_array_equal(low[1], 0.0)
+    normal = tr.xdddot - np.sum(tr.xdddot * tr.xdot, axis=1)[:, None] * tr.xdot
+    np.testing.assert_allclose(low[1], np.linalg.norm(normal, axis=1), rtol=1e-15)
     np.testing.assert_array_equal(low[2], 0.0)

@@ -24,6 +24,13 @@ def test_classify_line():
     assert reconstruct.classify_case(cs, 1.0, 0.0) is Branch.DEGENERATE_LINE
 
 
+def test_classify_refuses_a_floor_jet_with_momentum():
+    # kappa0 = 0 with p != 0 is an inflection point, which has no frame.
+    cs = ConservedSet(p=[0, -0.6, 0], l=[0, 0, 0], H=0.0, c=0.0)
+    with pytest.raises(ValueError, match="no Frenet frame at the curvature floor"):
+        reconstruct.classify_case(cs, 0.0, 0.0)
+
+
 def test_frame_de_planar_with_curvature_rate():
     # kappa=1, kappa_dot=1, tau=0 gives p=(-1,-2,0) and D = -B.
     j = frame_jet(1.0, 1.0, 0.0)
