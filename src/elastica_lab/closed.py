@@ -38,8 +38,8 @@ def require_regular(kappa, j):
 
 def quadrature_residual(kappa, kappa_dot, lam, c_sq, j):
     """4 kappa'^2 + (lambda - kappa^2)^2 + j^2/(4 max(|kappa|, KAPPA_MIN)^2) - |c|^2
-    from c_sq = |c|^2, over arrays of kappa and kappa'; the floor lets an audit
-    report a large value at kappa = 0 with j != 0 instead of raising."""
+    from c_sq = |c|^2, over arrays of kappa and kappa'; the floor keeps j = 0
+    at kappa = 0 from dividing 0 by 0 (the audit passes j = 0 at the floor)."""
     twist = j**2 / (4.0 * np.maximum(np.abs(kappa), KAPPA_MIN) ** 2)
     return 4.0 * kappa_dot**2 + (lam - kappa**2) ** 2 + twist - c_sq
 

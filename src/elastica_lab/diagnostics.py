@@ -82,9 +82,14 @@ def relative_drift(values):
 def _curvature_identities(xdot, p, c, kappa, kappa_dot):
     """Per-sample (scalar5, xdot_p, first_integral): the lambda = 0 quadrature
     relation with |c| = |p| and j = -4c, <xdot, p> + kappa^2, and 4x the
-    deviation of kappa_dot^2 + kappa^4/4 + c0^2/kappa^2 from |p0|^2/4."""
-    scalar5 = quadrature_residual(kappa, kappa_dot, 0.0, dot(p, p), -4.0 * c)
-    first_integral = quadrature_residual(kappa, kappa_dot, 0.0, dot(p[0], p[0]), -4.0 * c[0])
+    deviation of kappa_dot^2 + kappa^4/4 + c0^2/kappa^2 from |p0|^2/4.
+
+    At or below KAPPA_MIN j is 0: there frenet.curvature's kappa_dot is
+    |xdddot| normal to xdot, which already holds the twist kappa tau."""
+    above = kappa > KAPPA_MIN
+    j, j0 = np.where(above, -4.0 * c, 0.0), np.where(above, -4.0 * c[0], 0.0)
+    scalar5 = quadrature_residual(kappa, kappa_dot, 0.0, dot(p, p), j)
+    first_integral = quadrature_residual(kappa, kappa_dot, 0.0, dot(p[0], p[0]), j0)
     return scalar5, dot(xdot, p) + kappa**2, first_integral
 
 

@@ -9,10 +9,14 @@ rigidly at the rate
 
 with c = kappa^2 tau of `lagrangian.conserved`, so with phi = integral of Omega,
 
-    D(s) =  cos(phi) D0 - sin(phi) E0,
-    E(s) =  sin(phi) D0 + cos(phi) E0,
+    E(s) = sin(phi) D0 + cos(phi) E0,
 
 and  xdot(s) = -kappa^2 p / |p|^2 - (sqrt(|p|^2 - kappa^4)/|p|) E(s).
+The rest of the jet is read off the first integral
+p = -kappa^2 T - 2 kappa_dot N - 2 kappa tau B (Langer & Singer's constant
+field at lambda = 0): xdddot = -(p + 3 kappa^2 xdot)/2, and with
+V = p + kappa^2 xdot, |V| = w = sqrt(|p|^2 - kappa^4),
+xddot = (2 kappa/w^2)(kappa tau xdot x V - kappa_dot V).
 
 (The rotation rate carries a factor 1/2 and the orientation above; both are
 fixed against direct integration of the fourth-order dynamics, which the
@@ -92,7 +96,7 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
 
     The jet comes from
         xdot(s) = -kappa^2 p/|p|^2 - (sqrt(|p|^2-kappa^4)/|p|) E(s)
-    and the Frenet frame expanded over the orthonormal triple (p/|p|, D, E);
+    and, for xddot and xdddot, the first integral p (module docstring);
     positions are its quintic Hermite quadrature with xddot and xdddot.
     Returns a jet CurveTrace.
     """
@@ -105,31 +109,19 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0
     p2 = dot(p, p)
     if p2 == 0.0:
         raise ValueError("p = 0: degenerate branch")
-    pn = np.sqrt(p2)
-    phat = p / pn
 
     phi = phase_phi(kappa, kappa_dot, cs, step)
-    D = np.outer(np.cos(phi), D0) - np.outer(np.sin(phi), E0)
     E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
 
     w = np.sqrt(p2 - kappa**4)
     tau = torsion_from_c(kappa, cs.c)
-    xdot = -np.outer(kappa**2 / p2, p) - (w / pn)[:, None] * E
+    xdot = -np.outer(kappa**2 / p2, p) - (w / np.sqrt(p2))[:, None] * E
 
-    # Frame recovery over (phat, D, E): components follow from the moving-frame
-    # expressions of p, D and E.
-    N = (
-        np.outer(-2.0 * kappa_dot / pn, phat)
-        + (2.0 * kappa * tau / w)[:, None] * D
-        + (2.0 * kappa**2 * kappa_dot / (w * pn))[:, None] * E
-    )
-    B = (
-        np.outer(-2.0 * kappa * tau / pn, phat)
-        + (-2.0 * kappa_dot / w)[:, None] * D
-        + (2.0 * kappa**3 * tau / (w * pn))[:, None] * E
-    )
-    xddot = kappa[:, None] * N
-    xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * xdot + (kappa * tau)[:, None] * B
+    # V = -2(kappa_dot N + kappa tau B) and xdot x V = 2(kappa tau N - kappa_dot B).
+    V = p + (kappa**2)[:, None] * xdot
+    twist = (kappa * tau)[:, None] * cross(xdot, V)
+    xddot = (2.0 * kappa / w**2)[:, None] * (twist - kappa_dot[:, None] * V)
+    xdddot = -0.5 * (p + 3.0 * (kappa**2)[:, None] * xdot)
     x = x0 + cumulative_hermite(step, xdot, xddot, xdddot)
 
     meta = {"gauge": "arclength", "integrator": "reconstruct"}
@@ -166,7 +158,7 @@ def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0
     T = np.outer(-(kappa**2) / p2, p) + np.outer(-2.0 * kappa_dot / q2, pxB)
     N = np.outer(-2.0 * kappa_dot / p2, p) + np.outer(kappa**2 / q2, pxB)
     xddot = kappa[:, None] * N
-    xdddot = kappa_dot[:, None] * N - (kappa**2)[:, None] * T
+    xdddot = -0.5 * (p + 3.0 * (kappa**2)[:, None] * T)
 
     data = np.hstack([x, T, xddot, xdddot])
     return CurveTrace(

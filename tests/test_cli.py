@@ -523,6 +523,22 @@ def test_floor_starts(tmp_path, capsys, case, form, command):
             )
 
 
+@pytest.mark.parametrize("tau0", [3e4, 1e4])
+def test_sub_floor_start_with_a_large_torsion_audits_clean(tmp_path, tau0):
+    # At or below KAPPA_MIN the audit's kappa_dot is |xdddot| normal to xdot,
+    # which already holds the twist kappa tau; adding j^2/(4 kappa^2) with
+    # kappa raised to the floor counted it twice on row 0.
+    cfg = write_cfg(tmp_path, {"kappa0": 5e-9, "kappa_dot0": 0.0, "tau0": tau0})
+    out = str(tmp_path / "trace.csv")
+    report = tmp_path / "report.json"
+    assert run(["simulate", "--config", cfg, "--out", out, "--step", "1e-4", "--length", "0.1"]) == 0
+    assert run(["invariants", "--trace", out, "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["torsion_low_confidence_samples"] >= 1
+    assert payload["residuals"]["scalar5"] <= 1e-15
+    assert payload["residuals"]["first_integral"] <= 1e-15
+
+
 # Configs refused with the message that names their key: a key outside the
 # config's form (a misspelling would otherwise run with its default), and a
 # bool or a string for a number (True would run as 1).
@@ -665,6 +681,53 @@ def test_corrupt_trace_columns_exit_2(tmp_path, capsys, row, col, value):
     else:
         reason = f"non-finite value in trace {out}"
     assert capsys.readouterr().err == f"invariants failed: {reason}\n"
+
+
+def _array_config(tmp_path):
+    cfg = tmp_path / "array.json"
+    cfg.write_text(json.dumps([FRAME_CFG]))
+    return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+
+
+def _fourteen_column_trace(tmp_path):
+    out = Path(_simulate(tmp_path))
+    header, *rows = out.read_text().splitlines()
+    out.write_text("\n".join([header] + [row.rsplit(",", 1)[0] for row in rows]) + "\n")
+    return ["invariants", "--trace", str(out), "--report", str(tmp_path / "r.json")]
+
+
+def _traces_at_two_steps(tmp_path):
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run(["simulate", "--config", cfg, "--out", a, "--step", "1e-2", "--length", "0.1"]) == 0
+    assert run(["simulate", "--config", cfg, "--out", b, "--step", "2e-2", "--length", "0.2"]) == 0
+    return ["compare", a, b]
+
+
+def _deleted_kept_trace(tmp_path):
+    out = _simulate(tmp_path)
+    assert os.path.abspath(out) in cli._kept
+    os.remove(out)
+    return ["invariants", "--trace", out, "--report", str(tmp_path / "r.json")]
+
+
+REFUSED_INPUTS = {
+    "config is a JSON array": (_array_config, "config must be a JSON object"),
+    "14-column trace": (_fourteen_column_trace, "malformed row"),
+    "traces at two steps": (_traces_at_two_steps, "traces have different steps"),
+    "kept trace deleted": (_deleted_kept_trace, "cannot read trace"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_exits_2_with_one_line(tmp_path, capsys, case):
+    setup, message = REFUSED_INPUTS[case]
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]} failed: ") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "invariants"])

@@ -230,6 +230,24 @@ def test_closed_form_matches_rk4(kappa0, kappa_dot0, c, lam):
     assert np.max(np.abs(kappa_dot - ys[:, 1])) <= 1e-11
 
 
+@pytest.mark.parametrize("kappa0, kappa_dot0", [(-0.8, 0.3), (-0.8, -0.3), (-1.2, 0.0)])
+def test_signed_closed_form_from_negative_curvature(kappa0, kappa_dot0):
+    # kappa0 < 0 puts the start amplitude past pi/2, where _elliptic_f
+    # reflects, F(phi) = 2K - F(pi - phi).  The free equation is odd in
+    # kappa, so the run is the mirror of the one from (-kappa0, -kappa_dot0).
+    def rhs(t, y):
+        return np.array(closed.constrained_scalar_rhs(y[0], y[1], 0.0, 0.0))
+
+    _, ys = ode.integrate(rhs, np.array([kappa0, kappa_dot0]), 1e-3, 10000)
+    _, kappa, kappa_dot = scalar.integrate_scalar(kappa0, kappa_dot0, 0.0, 1e-3, 10000)
+    _, mirror, mirror_dot = scalar.integrate_scalar(-kappa0, -kappa_dot0, 0.0, 1e-3, 10000)
+    assert kappa.max() > 0.5  # through kappa = 0
+    assert np.max(np.abs(kappa - ys[:, 0])) <= 1e-12
+    assert np.max(np.abs(kappa_dot - ys[:, 1])) <= 1e-12
+    assert np.max(np.abs(kappa + mirror)) <= 1e-14
+    assert np.max(np.abs(kappa_dot + mirror_dot)) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "kappa0, kappa_dot0, c, lam", [(0.3, -0.7, 0.0, 0.0), (1.1, 0.4, -0.3, 0.5), (1e-3, -1.0, 0.0, 0.0)]
 )
