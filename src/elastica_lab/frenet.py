@@ -27,19 +27,15 @@ def curvature(xdot, xddot, xdddot):
     return kappa, kappa_dot, tau
 
 
-def require_frame(kappa):
-    """The one guard of a frame: raise ValueError where kappa <= KAPPA_MIN."""
-    if np.any(kappa <= KAPPA_MIN):
-        raise ValueError(f"kappa = {kappa} <= {KAPPA_MIN}: no Frenet frame at the curvature floor")
-
-
 def frenet_frame(j):
     """Extract (T, N, B, kappa, tau) from an arclength jet by curvature:
-    T = xdot, N = xddot/kappa and B = T x N.
+    T = xdot, N = xddot/kappa and B = T x N; raises ValueError where
+    kappa <= KAPPA_MIN.
     """
     require_near(j.arclength_defects(), "off the arclength submanifold")
     kappa, _, tau = curvature(j.xdot, j.xddot, j.xdddot)
-    require_frame(kappa)
+    if kappa <= KAPPA_MIN:
+        raise ValueError(f"kappa = {kappa} <= {KAPPA_MIN}: no Frenet frame at the curvature floor")
     T = j.xdot / norm(j.xdot)
     N = j.xddot / kappa
     B = cross(T, N)

@@ -1,42 +1,29 @@
 """Rebuild the space curve from curvature samples and the conserved momenta.
 
-The motion splits along the constant momentum p and the plane perpendicular
-to it.  Along p the velocity is <xdot, p> = -kappa^2; perpendicular to p the
-unit vectors D = (xdot x p)/|xdot x p| and E = ((xdot x p) x p)/|...| rotate
-rigidly at the rate
-
-    Omega = -4c |p| / (2 (|p|^2 - kappa^4)),
-
-with c = kappa^2 tau of `lagrangian.conserved`, so with phi = integral of Omega,
-
-    E(s) = sin(phi) D0 + cos(phi) E0,
-
-and  xdot(s) = -kappa^2 p / |p|^2 - (sqrt(|p|^2 - kappa^4)/|p|) E(s).
-The rest of the jet is read off the first integral
+Along a solution the momentum is the first integral
 p = -kappa^2 T - 2 kappa_dot N - 2 kappa tau B (Langer & Singer's constant
-field at lambda = 0): xdddot = -(p + 3 kappa^2 xdot)/2, and with
-V = p + kappa^2 xdot, |V| = w = sqrt(|p|^2 - kappa^4),
-xddot = (2 kappa/w^2)(kappa tau xdot x V - kappa_dot V).
+field at lambda = 0), so xdddot = T'' = -(p + 3 kappa^2 T)/2.  With
+u = kappa^2 the curvature equation reads u'' = (|p|^2 - 3u^2)/2, and
+zeta = T + u p/|p|^2 then solves the linear Hill equation
 
-(The rotation rate carries a factor 1/2 and the orientation above; both are
-fixed against direct integration of the fourth-order dynamics, which the
-test suite enforces.)  Planar motion (tau = 0) has a constant binormal and a
-closed form; the motion is a straight line exactly where p = 0.
+    zeta'' = -(3/2) u zeta,
+
+whose coefficient divides by nothing, so it holds through any small kappa
+or torsion.  The generic branch steps it with an order-6 Magnus rule on
+the grid and reads xdot = zeta - u p/|p|^2 and
+xddot = zeta' - u' p/|p|^2.  Planar motion (tau = 0) has a constant binormal
+and a closed form; the motion is a straight line exactly where p = 0.
 """
 
 import enum
 
 import numpy as np
 
-from .frenet import curvature, require_frame
+from .frenet import KAPPA_MIN, curvature
 from .geometry import CurveTrace, cross, dot, norm, vec3
 from .lagrangian import conserved_momenta
 from .ode import cumulative_hermite
-from .scalar import integrate_scalar, torsion_from_c
-
-# Relative floor for |p|^2 - kappa^4; below it xdot is numerically parallel
-# to p and the generic branch is invalid.
-DENOMINATOR_FLOOR = 1e-10
+from .scalar import integrate_scalar
 
 
 class Branch(enum.Enum):
@@ -45,87 +32,88 @@ class Branch(enum.Enum):
     DEGENERATE_LINE = "degenerate_line"
 
 
-def classify_case(cs, kappa0, tau0):
-    """Pick the reconstruction branch for the given invariants.
-
-    The line is p = 0; any other jet needs a frame (frenet.require_frame).
-    GENERIC has tau != 0, PLANAR tau = 0 (p != 0 is then not parallel to B).
+def classify_case(cs, tau0):
+    """Pick the reconstruction branch for the given invariants: the line is
+    p = 0, GENERIC has tau != 0 and PLANAR tau = 0, which frenet.curvature
+    reports at the curvature floor.
     """
     if norm(cs.p) == 0.0:
         return Branch.DEGENERATE_LINE
-    require_frame(abs(kappa0))
     if abs(tau0) > 1e-12:
         return Branch.GENERIC
     return Branch.PLANAR
 
 
-def frame_DE(j, p):
-    """Unit vectors along xdot x p and (xdot x p) x p.
+def _magnus_steps(u, du, ddu, h):
+    """exp(Omega) of each grid interval for zeta'' = -(3/2) u zeta, as a
+    (2, 2, n) array.
 
-    Both are orthogonal to p; they fail to exist when xdot is parallel to p
-    (equivalently |p|^2 = kappa^4 on solutions), which raises ValueError.
+    Omega is the order-6 Magnus step of Blanes, Casas & Ros (BIT 40, 2000)
+    for A = [[0, 1], [-(3/2) u, 0]], with alpha1 = h A(h/2),
+    alpha2 = (12/h) int (t - h/2) A and alpha3 = 12 (int A - alpha1) taken
+    from the quintic Hermite interpolant of u on the interval.  alpha1 is
+    [[0, h], [f1, 0]] and alpha2, alpha3 have only a lower-left entry (f2, f3),
+    so Omega = [[g, e], [f, -g]] has the closed entries below (its O(h^7)
+    terms dropped).  Omega^2 = (g^2 + e f) I, so exp(Omega) = C I + S Omega
+    with C, S = cos, sin/theta (or cosh, sinh/theta) of theta = sqrt|g^2 + e f|.
     """
-    p = vec3(p)
-    p2 = dot(p, p)
-    u = cross(j.xdot, p)
-    u2 = dot(u, u)
-    if u2 <= DENOMINATOR_FLOOR * p2:
-        raise ValueError("xdot parallel to p: no rotating frame, use the planar/line branch")
-    D = u / np.sqrt(u2)
-    v = cross(u, p)
-    E = v / norm(v)
-    return D, E
+    u0, u1, d0, d1, dd0, dd1 = u[:-1], u[1:], du[:-1], du[1:], ddu[:-1], ddu[1:]
+    mid = 0.5 * (u0 + u1) + 5.0 * h / 32.0 * (d0 - d1) + h * h / 64.0 * (dd0 + dd1)
+    f1 = -1.5 * h * mid
+    f2 = -18.0 * (3.0 / 28.0 * h * (u1 - u0) - h * h / 84.0 * (d0 + d1) + h**3 / 1680.0 * (dd1 - dd0))
+    f3 = 81.0 / 80.0 * h * h * (d0 - d1) + 21.0 / 160.0 * h**3 * (dd0 + dd1)
+    e = h - h * h * f3 / 180.0
+    f = f1 + f3 / 12.0 + h * f1 * f3 / 180.0 - h * f2 * f2 / 120.0
+    g = h * f2 * (h * f1 / 180.0 - 1.0 / 12.0)
+    square = g * g + e * f
+    theta = np.sqrt(np.abs(square))
+    rotation = square < 0.0
+    C = np.where(rotation, np.cos(theta), np.cosh(theta))
+    S = np.ones_like(theta)
+    np.divide(np.where(rotation, np.sin(theta), np.sinh(theta)), theta, out=S, where=theta > 0.0)
+    return np.array([[C + S * g, S * e], [S * f, C - S * g]])
 
 
-def phase_phi(kappa, kappa_dot, cs, step):
-    """Accumulated rotation angle phi(s) of the (D, E) frame on the grid, by
-    the cubic Hermite rule with Omega' = -8c |p| kappa^3 kappa_dot/(|p|^2 - kappa^4)^2."""
-    kappa = np.asarray(kappa, dtype=float)
-    p2 = dot(cs.p, cs.p)
-    scale = -4.0 * cs.c * np.sqrt(p2)
-    denom = p2 - kappa**4
-    if np.any(denom <= DENOMINATOR_FLOOR * p2):
-        raise ValueError("|p|^2 - kappa^4 hit the floor: generic branch invalid")
-    rate = scale / (2.0 * denom)
-    rate_dot = 2.0 * scale * kappa**3 * np.asarray(kappa_dot, dtype=float) / denom**2
-    return cumulative_hermite(step, rate, rate_dot)
+def _cumulative_product(steps):
+    """Products M_k ... M_1 for k = 0..n (the identity first) of the (2, 2, n)
+    matrices M, by a doubling scan of log2(n) passes."""
+    out = np.empty(steps.shape[:2] + (steps.shape[2] + 1,))
+    out[..., 0] = np.eye(2)
+    out[..., 1:] = steps
+    shift = 1
+    while shift < out.shape[2]:
+        later, earlier = out[..., shift:], out[..., :-shift]
+        out[..., shift:] = later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]
+        shift *= 2
+    return out
 
 
-def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, x0, D0, E0, step, t0=0.0):
-    """Generic-branch reconstruction from kappa(s) and the conserved set.
-
-    The jet comes from
-        xdot(s) = -kappa^2 p/|p|^2 - (sqrt(|p|^2-kappa^4)/|p|) E(s)
-    and, for xddot and xdddot, the first integral p (module docstring);
-    positions are its quintic Hermite quadrature with xddot and xdddot.
-    Returns a jet CurveTrace.
+def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
+    """Generic-branch reconstruction from kappa(s), the conserved set and
+    the initial arclength jet j0, by the Hill equation of the module
+    docstring from j0's zeta and zeta'; positions are the quintic Hermite
+    quadrature of the jets.  Returns a jet CurveTrace.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
-    x0 = vec3(x0)
-    D0 = vec3(D0)
-    E0 = vec3(E0)
     p = cs.p
     p2 = dot(p, p)
     if p2 == 0.0:
         raise ValueError("p = 0: degenerate branch")
+    q = p / p2
+    u, du = kappa**2, 2.0 * kappa * kappa_dot
+    # The curvature equation in u at lambda = 0: finite as kappa -> 0.
+    ddu = 0.5 * (p2 - 3.0 * u**2)
 
-    phi = phase_phi(kappa, kappa_dot, cs, step)
-    E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
-
-    w = np.sqrt(p2 - kappa**4)
-    tau = torsion_from_c(kappa, cs.c)
-    xdot = -np.outer(kappa**2 / p2, p) - (w / np.sqrt(p2))[:, None] * E
-
-    # V = -2(kappa_dot N + kappa tau B) and xdot x V = 2(kappa tau N - kappa_dot B).
-    V = p + (kappa**2)[:, None] * xdot
-    twist = (kappa * tau)[:, None] * cross(xdot, V)
-    xddot = (2.0 * kappa / w**2)[:, None] * (twist - kappa_dot[:, None] * V)
-    xdddot = -0.5 * (p + 3.0 * (kappa**2)[:, None] * xdot)
-    x = x0 + cumulative_hermite(step, xdot, xddot, xdddot)
+    (a, b), (c, d) = _cumulative_product(_magnus_steps(u, du, ddu, step))
+    zeta0, dzeta0 = j0.xdot + u[0] * q, j0.xddot + du[0] * q
+    xdot = np.outer(a, zeta0) + np.outer(b, dzeta0) - np.outer(u, q)
+    xddot = np.outer(c, zeta0) + np.outer(d, dzeta0) - np.outer(du, q)
+    xdddot = -0.5 * (p + 3.0 * u[:, None] * xdot)
+    x = j0.x + cumulative_hermite(step, xdot, xddot, xdddot)
 
     meta = {"gauge": "arclength", "integrator": "reconstruct"}
-    return CurveTrace(step, np.hstack([x, xdot, xddot, xdddot]), t0=t0, metadata=meta)
+    return CurveTrace(step, np.hstack([x, xdot, xddot, xdddot]), t0=j0.t, metadata=meta)
 
 
 def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0):
@@ -185,7 +173,7 @@ def reduce_jet(j0, cs):
     gives it only to roundoff; a line reduces to kappa = kappa_dot = 0.
     """
     kappa0, kappa_dot0, tau0 = (float(v) for v in curvature(j0.xdot, j0.xddot, j0.xdddot))
-    branch = classify_case(cs, kappa0, tau0)
+    branch = classify_case(cs, tau0)
     c = cs.c if branch is Branch.GENERIC else 0.0
     return branch, kappa0, kappa_dot0, c
 
@@ -206,11 +194,10 @@ def reduce_and_reconstruct(j0, step, count):
     _, kappa, kappa_dot = integrate_scalar(kappa0, kappa_dot0, c, step, count)
 
     if branch is Branch.GENERIC:
-        D0, E0 = frame_DE(j0, cs.p)
-        trace = reconstruct_curve(
-            kappa, kappa_dot, cs, j0.x, D0, E0, step, t0=j0.t
-        )
-    else:
+        return reconstruct_curve(kappa, kappa_dot, cs, j0, step), branch
+    if kappa0 > KAPPA_MIN:
         B = cross(j0.xdot, j0.xddot) / kappa0
-        trace = reconstruct_planar(kappa, kappa_dot, cs, j0.x, B, step, t0=j0.t)
-    return trace, branch
+    else:  # xddot has no direction at the floor; kappa grows along xdddot's part normal to xdot
+        B = cross(j0.xdot, j0.xdddot)
+        B = B / norm(B)
+    return reconstruct_planar(kappa, kappa_dot, cs, j0.x, B, step, t0=j0.t), branch

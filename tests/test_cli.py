@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elastica_lab import cli, diagnostics, scalar
+from elastica_lab import cli, diagnostics, lagrangian, scalar
 from elastica_lab.geometry import CurveTrace
 
 from conftest import rotation
@@ -467,9 +467,9 @@ def test_bad_initial_data_exits_2(tmp_path, capsys, case, command):
 
 # Starts at the curvature floor, as frame data; each also runs as the raw jet
 # it builds.  An inflection point (kappa0 = 0, kappa_dot0 != 0) and a start
-# below the floor have p != 0: simulate and hamiltonian follow them, and
-# reduce and reconstruct, which need a frame, exit 3.  A line is p = 0, and
-# every command runs it.
+# below the floor have p != 0, and every command follows them: reduce and
+# reconstruct take the planar branch with the binormal xdot x xdddot / |...|,
+# since xddot has no direction there.  A line is p = 0.
 FLOOR_STARTS = {
     "inflection": {"kappa0": 0.0, "kappa_dot0": 0.3, "tau0": 0.0},
     "inflection, falling": {"kappa0": 0.0, "kappa_dot0": -0.3, "tau0": 0.0},
@@ -504,20 +504,22 @@ def test_floor_starts(tmp_path, capsys, case, form, command):
     cfg = FLOOR_STARTS[case] if form == "frame" else _raw_form(FLOOR_STARTS[case])
     out = tmp_path / "out.csv"
     argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--step", "1e-2", "--length", "2"]
+    assert run(argv) == 0
     line = case.endswith("line")
-    if command in ("reduce", "reconstruct") and not line:
-        assert run(argv) == 3
-        assert "no Frenet frame at the curvature floor" in capsys.readouterr().err
-        assert not out.exists()
-    elif command == "reduce":
-        assert run(argv) == 0
-        np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:], 0.0)
-    else:
-        assert run(argv) == 0
-        assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "report.json")]) == 0
-        if command == "reconstruct":
-            jet, _ = cli.initial_jet(cfg)
-            assert "(branch: degenerate_line)" in capsys.readouterr().out
+    jet, _ = cli.initial_jet(cfg)
+    direct = lagrangian.integrate_elastica(jet, 1e-2, 200)
+    # The floor reports tau = 0, so the sub-floor start loses its twist kappa0 tau0 = 1e-9.
+    bound = 2e-8 if case == "sub-floor" else 1e-10
+    if command == "reduce":
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(np.abs(data[:, 1]), np.linalg.norm(direct.xddot, axis=1), rtol=0, atol=bound)
+        np.testing.assert_array_equal(data[:, 2 if line else 3:], 0.0)
+        return
+    assert run(["invariants", "--trace", str(out), "--report", str(tmp_path / "report.json")]) == 0
+    if command == "reconstruct":
+        assert f"(branch: {'degenerate_line' if line else 'planar'})" in capsys.readouterr().out
+        assert diagnostics.position_discrepancy(direct, cli.read_trace(str(out))) <= bound
+        if line:
             np.testing.assert_allclose(
                 cli.read_trace(str(out)).positions(), jet.x + np.outer(np.arange(201) * 1e-2, jet.xdot), atol=1e-14
             )

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastica_lab import diagnostics, lagrangian, reconstruct, scalar
-from elastica_lab.geometry import ConservedSet
+from elastica_lab import diagnostics, lagrangian, ode, reconstruct, scalar
+from elastica_lab.geometry import ConservedSet, JetState
 from elastica_lab.reconstruct import Branch
 
 from conftest import frame_jet
@@ -10,47 +10,27 @@ from conftest import frame_jet
 
 def test_classify_generic():
     cs = ConservedSet(p=[-1, -2, 0], l=[0, 1, 1], H=0.0, c=0.3)
-    assert reconstruct.classify_case(cs, 1.0, 0.3) is Branch.GENERIC
+    assert reconstruct.classify_case(cs, 0.3) is Branch.GENERIC
 
 
 def test_classify_planar():
     cs = ConservedSet(p=[-1, 0, 0], l=[0, 0, 2], H=0.0, c=0.0)
-    assert reconstruct.classify_case(cs, 1.0, 0.0) is Branch.PLANAR
+    assert reconstruct.classify_case(cs, 0.0) is Branch.PLANAR
 
 
 def test_classify_line():
     cs = ConservedSet(p=[0, 0, 0], l=[0, 0, 0], H=0.0, c=0.0)
-    assert reconstruct.classify_case(cs, 0.0, 0.0) is Branch.DEGENERATE_LINE
-    assert reconstruct.classify_case(cs, 1.0, 0.0) is Branch.DEGENERATE_LINE
+    assert reconstruct.classify_case(cs, 0.0) is Branch.DEGENERATE_LINE
+    assert reconstruct.classify_case(cs, 0.3) is Branch.DEGENERATE_LINE
 
 
-def test_classify_refuses_a_floor_jet_with_momentum():
-    # kappa0 = 0 with p != 0 is an inflection point, which has no frame.
-    cs = ConservedSet(p=[0, -0.6, 0], l=[0, 0, 0], H=0.0, c=0.0)
-    with pytest.raises(ValueError, match="no Frenet frame at the curvature floor"):
-        reconstruct.classify_case(cs, 0.0, 0.0)
-
-
-def test_frame_de_planar_with_curvature_rate():
-    # kappa=1, kappa_dot=1, tau=0 gives p=(-1,-2,0) and D = -B.
-    j = frame_jet(1.0, 1.0, 0.0)
-    cs = lagrangian.conserved_momenta(j)
-    np.testing.assert_allclose(cs.p, [-1, -2, 0], atol=1e-14)
-    D, E = reconstruct.frame_DE(j, cs.p)
-    np.testing.assert_allclose(D, [0, 0, -1], atol=1e-14)
-
-
-def test_frame_de_orthonormal_and_perpendicular_to_p():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        j = frame_jet(rng.uniform(0.3, 1.5), rng.uniform(-1, 1), rng.uniform(0.1, 1))
-        cs = lagrangian.conserved_momenta(j)
-        D, E = reconstruct.frame_DE(j, cs.p)
-        assert np.linalg.norm(D) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(E) == pytest.approx(1.0, abs=1e-10)
-        assert np.dot(D, E) == pytest.approx(0.0, abs=1e-10)
-        assert np.dot(D, cs.p) == pytest.approx(0.0, abs=1e-10)
-        assert np.dot(E, cs.p) == pytest.approx(0.0, abs=1e-10)
+def test_classify_takes_a_floor_jet_with_momentum_as_planar():
+    # kappa0 = 0 with p != 0 is an inflection point, where frenet.curvature
+    # reports tau = 0 and kappa_dot = |xdddot| normal to xdot, whatever tau0.
+    jet = frame_jet(0.0, -0.3, 0.2)
+    cs = lagrangian.conserved_momenta(jet)
+    np.testing.assert_allclose(cs.p, [0, 0.6, 0], atol=1e-15)
+    assert reconstruct.reduce_jet(jet, cs) == (Branch.PLANAR, 0.0, 0.3, 0.0)
 
 
 def test_frame_de_length_identity():
@@ -65,68 +45,55 @@ def test_frame_de_length_identity():
         assert np.linalg.norm(u) == pytest.approx(np.sqrt(p2 - kappa**4), abs=1e-10)
 
 
-def test_frame_de_degenerate():
-    # kappa_dot = 0, tau = 0 puts p parallel to xdot.
-    j = frame_jet(1.0, 0.0, 0.0)
-    cs = lagrangian.conserved_momenta(j)
-    with pytest.raises(ValueError, match="xdot parallel to p"):
-        reconstruct.frame_DE(j, cs.p)
+def test_cumulative_product_matches_a_float_loop():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, 0.1, 1000)
+    scale = rng.uniform(0.5, 2.0, 1000)
+    steps = np.array([[np.cos(theta), scale * np.sin(theta)], [-np.sin(theta) / scale, np.cos(theta)]])
+    product = reconstruct._cumulative_product(steps)
+    m = np.eye(2)
+    np.testing.assert_array_equal(product[..., 0], m)
+    for k in range(1000):
+        m = steps[..., k] @ m
+        np.testing.assert_allclose(product[..., k + 1], m, rtol=0, atol=1e-13)
 
 
-def test_phase_phi_zero_for_planar_momenta():
-    cs = ConservedSet(p=[-1, 0, 0], l=[0, 0, 2], H=0.0, c=0.0)
-    phi = reconstruct.phase_phi(np.full(11, 0.5), np.zeros(11), cs, 0.1)
-    np.testing.assert_array_equal(phi, np.zeros(11))
+# Small torsion constants c = kappa0^2 tau0, tau0 -> 0 at kappa0 = 1 and
+# kappa0 -> 0 at tau0 = 0.2, where a rule that divides by c or by
+# |p|^2 - kappa^4 loses its accuracy.
+HILL_GRID = [(1.0, 10.0**-k) for k in (11, 9, 7, 5, 4, 3, 2)] + [(1.0, 0.2)] + [
+    (k, 0.2) for k in (1e-6, 1e-3, 1e-2, 0.05, 0.1)
+]
 
 
-def test_phase_phi_starts_at_zero(standard_jet):
-    cs = lagrangian.conserved_momenta(standard_jet)
-    _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.2, 1e-3, 100)
-    phi = reconstruct.phase_phi(kappa, kappa_dot, cs, 1e-3)
-    assert phi[0] == 0.0
+@pytest.mark.parametrize("kappa0, tau0", HILL_GRID)
+def test_generic_reconstruction_meets_direct_integration(kappa0, tau0):
+    jet = frame_jet(kappa0, 0.3, tau0)
+    rec, branch = reconstruct.reduce_and_reconstruct(jet, 1e-3, 10000)
+    assert branch is Branch.GENERIC
+    assert diagnostics.position_discrepancy(lagrangian.integrate_elastica(jet, 1e-3, 10000), rec) <= 1e-10
+    assert diagnostics.invariant_report(rec)[0]["violations"] == []
 
 
-def test_phase_phi_denominator_floor():
-    cs = ConservedSet(p=[1, 0, 0], l=[0, 0, 0], H=0.0, c=0.0)
-    with pytest.raises(ValueError, match="hit the floor"):
-        reconstruct.phase_phi(np.array([0.9, 1.0, 1.0]), np.zeros(3), cs, 0.1)
+@pytest.mark.parametrize("tau0", [0.2, 1e-7])
+def test_generic_reconstruction_is_sixth_order(tau0):
+    jet = frame_jet(1.0, 0.3, tau0)
+    fine, _ = reconstruct.reduce_and_reconstruct(jet, 0.0025, 3200)
+    steps = [0.08, 0.04, 0.02]
+    errors = []
+    for h in steps:
+        rec, _ = reconstruct.reduce_and_reconstruct(jet, h, round(8.0 / h))
+        errors.append(np.max(np.abs(rec.positions() - fine.positions()[:: round(h / 0.0025)])))
+    assert ode.convergence_slope(steps, errors) >= 5.5
 
 
-def test_rotating_frame_matches_direct_integration(standard_jet, standard_trace_5):
-    # The oracle that pins the rotation rate's factor and sign: frames from
-    # the independently integrated fourth-order solution.
-    cs = lagrangian.conserved_momenta(standard_jet)
-    _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.2, 1e-3, 5000)
-    phi = reconstruct.phase_phi(kappa, kappa_dot, cs, 1e-3)
-    D0, E0 = reconstruct.frame_DE(standard_jet, cs.p)
-    D = np.outer(np.cos(phi), D0) - np.outer(np.sin(phi), E0)
-    worst = 0.0
-    for i in range(0, 5001, 200):
-        Di, _ = reconstruct.frame_DE(standard_trace_5.samples[i], cs.p)
-        worst = max(worst, float(np.linalg.norm(Di - D[i])))
-    assert worst <= 1e-4
-
-
-def test_rotating_frame_satisfies_ode():
-    # Finite differences of D(s) reproduce -Omega E(s) at second order in h.
-    cs = ConservedSet(p=[-1, -0.6, -0.4], l=[0, 0, 2], H=0.0, c=0.2)
-    D0 = np.array([0.0, 0.0, 1.0])
-    E0 = np.array([0.0, 1.0, 0.0])
-    p2 = np.dot(cs.p, cs.p)
-
-    def fd_error(step, count):
-        _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.2, step, count)
-        phi = reconstruct.phase_phi(kappa, kappa_dot, cs, step)
-        D = np.outer(np.cos(phi), D0) - np.outer(np.sin(phi), E0)
-        E = np.outer(np.sin(phi), D0) + np.outer(np.cos(phi), E0)
-        rate = np.dot(cs.l, cs.p) * np.sqrt(p2) / (2.0 * (p2 - kappa**4))
-        fd = (D[2:] - D[:-2]) / (2 * step)
-        return float(np.max(np.abs(fd + rate[1:-1, None] * E[1:-1])))
-
-    coarse = fd_error(2e-3, 1000)
-    fine = fd_error(1e-3, 2000)
-    assert fine <= 1e-4
-    assert 3.5 <= coarse / fine <= 4.5
+@pytest.mark.parametrize(
+    "tau0, step, length", [(0.2, 5e-3, 200.0), (1e-4, 5e-3, 200.0), (1e-11, 5e-3, 200.0), (0.2, 0.05, 10.0)]
+)
+def test_generic_reconstruction_audits_clean(tau0, step, length):
+    rec, _ = reconstruct.reduce_and_reconstruct(frame_jet(1.0, 0.3, tau0), step, round(length / step))
+    report, ok = diagnostics.invariant_report(rec)
+    assert ok, report["violations"]
 
 
 def test_reconstruct_curve_matches_direct(standard_jet, standard_trace_5):
@@ -152,15 +119,8 @@ def test_reconstructed_velocity_momentum_component(standard_jet):
 
 def test_reconstruct_zero_length():
     cs = ConservedSet(p=[-1, -0.6, -0.4], l=[0, 0, 2], H=0.0, c=0.2)
-    rec = reconstruct.reconstruct_curve(
-        np.array([1.0]),
-        np.array([0.3]),
-        cs,
-        np.array([1.0, 2.0, 3.0]),
-        np.array([0.0, 0.0, 1.0]),
-        np.array([0.0, 1.0, 0.0]),
-        1e-3,
-    )
+    j0 = JetState(0.0, [1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
+    rec = reconstruct.reconstruct_curve(np.array([1.0]), np.array([0.3]), cs, j0, 1e-3)
     assert len(rec) == 1
     np.testing.assert_array_equal(rec.samples[0].x, [1.0, 2.0, 3.0])
 
