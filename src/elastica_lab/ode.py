@@ -453,26 +453,21 @@ def cumulative_simpson(samples, step):
     return out
 
 
-def cumulative_hermite(step, f, df, ddf=None):
-    """Cumulative integral on the sample grid from values and derivatives.
+def cumulative_hermite(step, f, df, ddf):
+    """Cumulative integral on the sample grid from values and two derivatives.
 
-    Each interval takes the two-point Hermite rule: the cubic one
-    h/2 (f0 + f1) + h^2/12 (f0' - f1') from f and f', or with f'' as well the
-    quintic one h/2 (f0 + f1) + h^2/10 (f0' - f1') + h^3/120 (f0'' + f1'').
+    Each interval takes the two-point quintic Hermite rule
+    h/2 (f0 + f1) + h^2/10 (f0' - f1') + h^3/120 (f0'' + f1'').
     Accepts (N,) or (N, k) samples; integrates along axis 0.
     """
-    f, df = np.asarray(f, dtype=float), np.asarray(df, dtype=float)
+    f, df, ddf = (np.asarray(v, dtype=float) for v in (f, df, ddf))
     if step <= 0.0:
         raise ValueError("step must be positive")
-    if ddf is None:
-        parts = 0.5 * step * (f[:-1] + f[1:]) + step**2 / 12.0 * (df[:-1] - df[1:])
-    else:
-        ddf = np.asarray(ddf, dtype=float)
-        parts = (
-            0.5 * step * (f[:-1] + f[1:])
-            + 0.1 * step**2 * (df[:-1] - df[1:])
-            + step**3 / 120.0 * (ddf[:-1] + ddf[1:])
-        )
+    parts = (
+        0.5 * step * (f[:-1] + f[1:])
+        + 0.1 * step**2 * (df[:-1] - df[1:])
+        + step**3 / 120.0 * (ddf[:-1] + ddf[1:])
+    )
     out = np.zeros_like(f)
     np.cumsum(parts, axis=0, out=out[1:])
     return out

@@ -9,18 +9,20 @@ zeta = T + u p/|p|^2 then solves the linear Hill equation
     zeta'' = -(3/2) u zeta,
 
 whose coefficient divides by nothing, so it holds through any small kappa
-or torsion.  The generic branch steps it with an order-6 Magnus rule on
-the grid and reads xdot = zeta - u p/|p|^2 and
-xddot = zeta' - u' p/|p|^2.  Planar motion (tau = 0) has a constant binormal
-and a closed form; the motion is a straight line exactly where p = 0.
+or torsion.  reconstruct_curve steps it with an order-6 Magnus rule on
+the grid and reads xdot = zeta - u p/|p|^2 and xddot = zeta' - u' p/|p|^2,
+for generic motion, starts at the curvature floor and the straight line
+(p = 0, where zeta = T).  Planar motion (tau = 0) above the floor has a
+constant binormal and a closed form.
 """
 
 import enum
+import math
 
 import numpy as np
 
 from .frenet import KAPPA_MIN, curvature
-from .geometry import CurveTrace, cross, dot, norm, vec3
+from .geometry import CurveTrace, cross, dot, norm
 from .lagrangian import conserved_momenta
 from .ode import cumulative_hermite
 from .scalar import integrate_scalar
@@ -89,18 +91,17 @@ def _cumulative_product(steps):
 
 
 def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
-    """Generic-branch reconstruction from kappa(s), the conserved set and
-    the initial arclength jet j0, by the Hill equation of the module
-    docstring from j0's zeta and zeta'; positions are the quintic Hermite
-    quadrature of the jets.  Returns a jet CurveTrace.
+    """Reconstruction of generic jets, of every start at the curvature floor
+    and of the line (p = 0) from kappa(s), the conserved set and the initial
+    arclength jet j0, by the Hill equation of the module docstring from j0's
+    zeta and zeta'; positions are the quintic Hermite quadrature of the
+    jets.  Returns a jet CurveTrace.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
     p = cs.p
     p2 = dot(p, p)
-    if p2 == 0.0:
-        raise ValueError("p = 0: degenerate branch")
-    q = p / p2
+    q = p / p2 if p2 > 0.0 else p
     u, du = kappa**2, 2.0 * kappa * kappa_dot
     # The curvature equation in u at lambda = 0: finite as kappa -> 0.
     ddu = 0.5 * (p2 - 3.0 * u**2)
@@ -116,52 +117,41 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
     return CurveTrace(step, np.hstack([x, xdot, xddot, xdddot]), t0=j0.t, metadata=meta)
 
 
-def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, x0, B, step, t0=0.0):
-    """Planar-branch reconstruction with constant binormal B.
+def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, j0, step):
+    """Planar-branch reconstruction with the constant binormal
+    B = xdot x xddot / kappa(0) of the initial arclength jet j0.
 
-    Uses <x, p> = <x0, p> - integral(kappa^2), by the cubic Hermite rule
-    with (kappa^2)' = 2 kappa kappa_dot, and
+    Uses <x, p> = <x0, p> - integral(u), u = kappa^2, by the quintic Hermite
+    rule with u' = 2 kappa kappa_dot and u'' = (|p|^2 - 3u^2)/2, and
     <x, p x B> = <x0, p x B> + 2 kappa(s0) - 2 kappa(s); kappa may be signed
     (planar curvature changes sign at inflections).
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
-    x0 = vec3(x0)
-    B = vec3(B)
     p = cs.p
-    pxB = cross(p, B)
+    pxB = cross(p, cross(j0.xdot, j0.xddot) / kappa[0])
     q2 = dot(pxB, pxB)
     if q2 == 0.0:
         raise ValueError("p x B = 0: the motion is a straight line")
     p2 = dot(p, p)
 
-    ksq_int = cumulative_hermite(step, kappa**2, 2.0 * kappa * kappa_dot)
+    u = kappa**2
+    ksq_int = cumulative_hermite(step, u, 2.0 * kappa * kappa_dot, 0.5 * (p2 - 3.0 * u**2))
     x = (
-        x0
+        j0.x
         - np.outer(ksq_int / p2, p)
         + np.outer((2.0 * kappa[0] - 2.0 * kappa) / q2, pxB)
     )
     # T and N in the constant basis (p, p x B):  p = -kappa^2 T - 2 kappa_dot N
     # and p x B = -2 kappa_dot T + kappa^2 N.
-    T = np.outer(-(kappa**2) / p2, p) + np.outer(-2.0 * kappa_dot / q2, pxB)
-    N = np.outer(-2.0 * kappa_dot / p2, p) + np.outer(kappa**2 / q2, pxB)
+    T = np.outer(-u / p2, p) + np.outer(-2.0 * kappa_dot / q2, pxB)
+    N = np.outer(-2.0 * kappa_dot / p2, p) + np.outer(u / q2, pxB)
     xddot = kappa[:, None] * N
-    xdddot = -0.5 * (p + 3.0 * (kappa**2)[:, None] * T)
+    xdddot = -0.5 * (p + 3.0 * u[:, None] * T)
 
     data = np.hstack([x, T, xddot, xdddot])
     return CurveTrace(
-        step, data, t0=t0, metadata={"gauge": "arclength", "integrator": "reconstruct_planar"}
-    )
-
-
-def reconstruct_line(x0, tangent, step, count, t0=0.0):
-    """Degenerate branch: straight line along the tangent of an arclength jet."""
-    x0 = vec3(x0)
-    t_hat = vec3(tangent) / norm(tangent)
-    arc = (step * np.arange(count + 1))[:, None]
-    data = np.hstack([x0 + arc * t_hat, np.tile(t_hat, (count + 1, 1)), np.zeros((count + 1, 6))])
-    return CurveTrace(
-        step, data, t0=t0, metadata={"gauge": "arclength", "integrator": "reconstruct_line"}
+        step, data, t0=j0.t, metadata={"gauge": "arclength", "integrator": "reconstruct_planar"}
     )
 
 
@@ -170,9 +160,11 @@ def reduce_jet(j0, cs):
 
     Returns (branch, kappa0, kappa_dot0, c).  The torsion constant c is
     cs.c on the generic branch and exactly 0 on the others, where the jet
-    gives it only to roundoff; a line reduces to kappa = kappa_dot = 0.
+    gives it only to roundoff; a line reduces to kappa = kappa_dot = 0.  At
+    the floor kappa_dot0 >= 0, so kappa0 takes the sign of <xddot, xdddot>.
     """
     kappa0, kappa_dot0, tau0 = (float(v) for v in curvature(j0.xdot, j0.xddot, j0.xdddot))
+    kappa0 = math.copysign(kappa0, dot(j0.xddot, j0.xdddot)) if kappa0 <= KAPPA_MIN else kappa0
     branch = classify_case(cs, tau0)
     c = cs.c if branch is Branch.GENERIC else 0.0
     return branch, kappa0, kappa_dot0, c
@@ -182,22 +174,14 @@ def reduce_and_reconstruct(j0, step, count):
     """Full scalar-reduction pipeline from an arclength initial jet.
 
     Reduces the jet (reduce_jet), evaluates the exact curvature with the
-    matching torsion constant, and rebuilds x(s) on the branch the invariants
-    select.  The result is grid-compatible with direct integration of the
-    fourth-order dynamics from the same jet.
+    matching torsion constant, and rebuilds x(s): by the closed form on the
+    planar branch above the curvature floor, else by the Hill equation.  The
+    result is grid-compatible with direct integration of the fourth-order
+    dynamics from the same jet.
     """
     cs = conserved_momenta(j0)
     branch, kappa0, kappa_dot0, c = reduce_jet(j0, cs)
-    if branch is Branch.DEGENERATE_LINE:
-        return reconstruct_line(j0.x, j0.xdot, step, count, t0=j0.t), branch
-
     _, kappa, kappa_dot = integrate_scalar(kappa0, kappa_dot0, c, step, count)
-
-    if branch is Branch.GENERIC:
-        return reconstruct_curve(kappa, kappa_dot, cs, j0, step), branch
-    if kappa0 > KAPPA_MIN:
-        B = cross(j0.xdot, j0.xddot) / kappa0
-    else:  # xddot has no direction at the floor; kappa grows along xdddot's part normal to xdot
-        B = cross(j0.xdot, j0.xdddot)
-        B = B / norm(B)
-    return reconstruct_planar(kappa, kappa_dot, cs, j0.x, B, step, t0=j0.t), branch
+    if branch is Branch.PLANAR and kappa0 > KAPPA_MIN:
+        return reconstruct_planar(kappa, kappa_dot, cs, j0, step), branch
+    return reconstruct_curve(kappa, kappa_dot, cs, j0, step), branch

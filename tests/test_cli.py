@@ -467,15 +467,17 @@ def test_bad_initial_data_exits_2(tmp_path, capsys, case, command):
 
 # Starts at the curvature floor, as frame data; each also runs as the raw jet
 # it builds.  An inflection point (kappa0 = 0, kappa_dot0 != 0) and a start
-# below the floor have p != 0, and every command follows them: reduce and
-# reconstruct take the planar branch with the binormal xdot x xdddot / |...|,
-# since xddot has no direction there.  A line is p = 0.
+# below the floor have p != 0, and every command follows them: reduce
+# reports the planar branch, and reconstruct rebuilds them by the Hill
+# equation, since xddot has no direction there.  A line is p = 0.
 FLOOR_STARTS = {
     "inflection": {"kappa0": 0.0, "kappa_dot0": 0.3, "tau0": 0.0},
     "inflection, falling": {"kappa0": 0.0, "kappa_dot0": -0.3, "tau0": 0.0},
     "inflection, tau0 = 0.2": {"kappa0": 0.0, "kappa_dot0": 0.3, "tau0": 0.2},
     "inflection, falling, tau0 = 0.2": {"kappa0": 0.0, "kappa_dot0": -0.3, "tau0": 0.2},
     "sub-floor": {"kappa0": 5e-9, "kappa_dot0": 0.0, "tau0": 0.2},
+    "sub-floor, planar": {"kappa0": 5e-9, "kappa_dot0": 0.0, "tau0": 0.0},
+    "sub-floor, falling": {"kappa0": 5e-9, "kappa_dot0": -0.3, "tau0": 0.0},
     "line": {"kappa0": 0.0},
     "rotated line": {"kappa0": 0.0, "kappa_dot0": 0.0, "tau0": 0.2, "x0": [1.0, 2.0, 3.0],
                      "frame": rotation(0.3, -1.1, 2.0).tolist()},

@@ -75,7 +75,7 @@ def test_generic_reconstruction_meets_direct_integration(kappa0, tau0):
     assert diagnostics.invariant_report(rec)[0]["violations"] == []
 
 
-@pytest.mark.parametrize("tau0", [0.2, 1e-7])
+@pytest.mark.parametrize("tau0", [0.2, 1e-7, 0.0])
 def test_generic_reconstruction_is_sixth_order(tau0):
     jet = frame_jet(1.0, 0.3, tau0)
     fine, _ = reconstruct.reduce_and_reconstruct(jet, 0.0025, 3200)
@@ -146,10 +146,9 @@ def test_planar_binormal_constant(planar_jet, planar_trace):
 
 def test_reconstruct_planar_degenerate():
     cs = ConservedSet(p=[0, 0, 1], l=[0, 0, 0], H=0.0, c=0.0)
+    j0 = JetState(0.0, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="p x B = 0"):
-        reconstruct.reconstruct_planar(
-            np.ones(5), np.zeros(5), cs, np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.1
-        )
+        reconstruct.reconstruct_planar(np.ones(5), np.zeros(5), cs, j0, 0.1)
 
 
 def test_reconstruct_line(line_jet):
