@@ -161,7 +161,7 @@ def _grid(step, length):
     if length / step == np.inf:  # a numeric failure, like a grid too large to allocate
         raise ValueError(f"too many steps: length / step = {length!r} / {step!r} overflows")
     count = int(round(length / step))
-    if count < 1 or abs(count * step - length) > 1e-9 * max(1.0, length):
+    if count < 1 or abs(count * step - length) > 1e-9 * length:
         raise InputError("length must be an integer multiple of step")
     return count
 

@@ -9,11 +9,11 @@ zeta = T + u p/|p|^2 then solves the linear Hill equation
     zeta'' = -(3/2) u zeta,
 
 whose coefficient divides by nothing, so it holds through any small kappa
-or torsion.  reconstruct_curve steps it with an order-6 Magnus rule on
-the grid and reads xdot = zeta - u p/|p|^2 and xddot = zeta' - u' p/|p|^2,
-for generic motion, starts at the curvature floor and the straight line
-(p = 0, where zeta = T).  Planar motion (tau = 0) above the floor has a
-constant binormal and a closed form.
+or torsion.  Both rebuilders solve it on the grid and read
+xdot = zeta - u p/|p|^2 and xddot = zeta' - u' p/|p|^2 (zeta = T on the
+line, p = 0): reconstruct_curve by an order-6 Magnus rule, for generic
+motion, starts at the curvature floor and the line; reconstruct_planar by
+the exact solution of planar motion (tau = 0) above the floor.
 """
 
 import enum
@@ -90,12 +90,24 @@ def _cumulative_product(steps):
     return out
 
 
+def _hill_trace(zeta, dzeta, u, du, q, p, j0, step, integrator):
+    """The jet CurveTrace of a Hill solution (zeta, zeta'), overwritten with
+    xdot = zeta - u q and xddot = zeta' - u' q (q = p/|p|^2), with
+    xdddot = -(p + 3u xdot)/2 and positions by quintic Hermite quadrature.
+    """
+    zeta -= np.outer(u, q)
+    dzeta -= np.outer(du, q)
+    xdddot = -0.5 * (p + 3.0 * u[:, None] * zeta)
+    x = j0.x + cumulative_hermite(step, zeta, dzeta, xdddot)
+    meta = {"gauge": "arclength", "integrator": integrator}
+    return CurveTrace(step, np.hstack([x, zeta, dzeta, xdddot]), t0=j0.t, metadata=meta)
+
+
 def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
     """Reconstruction of generic jets, of every start at the curvature floor
     and of the line (p = 0) from kappa(s), the conserved set and the initial
-    arclength jet j0, by the Hill equation of the module docstring from j0's
-    zeta and zeta'; positions are the quintic Hermite quadrature of the
-    jets.  Returns a jet CurveTrace.
+    arclength jet j0: the Magnus steps of the Hill equation from j0's zeta
+    and zeta'.  Returns a jet CurveTrace.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
@@ -108,51 +120,29 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
 
     (a, b), (c, d) = _cumulative_product(_magnus_steps(u, du, ddu, step))
     zeta0, dzeta0 = j0.xdot + u[0] * q, j0.xddot + du[0] * q
-    xdot = np.outer(a, zeta0) + np.outer(b, dzeta0) - np.outer(u, q)
-    xddot = np.outer(c, zeta0) + np.outer(d, dzeta0) - np.outer(du, q)
-    xdddot = -0.5 * (p + 3.0 * u[:, None] * xdot)
-    x = j0.x + cumulative_hermite(step, xdot, xddot, xdddot)
-
-    meta = {"gauge": "arclength", "integrator": "reconstruct"}
-    return CurveTrace(step, np.hstack([x, xdot, xddot, xdddot]), t0=j0.t, metadata=meta)
+    zeta = np.outer(a, zeta0) + np.outer(b, dzeta0)
+    dzeta = np.outer(c, zeta0) + np.outer(d, dzeta0)
+    return _hill_trace(zeta, dzeta, u, du, q, p, j0, step, "reconstruct")
 
 
 def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, j0, step):
     """Planar-branch reconstruction with the constant binormal
-    B = xdot x xddot / kappa(0) of the initial arclength jet j0.
-
-    Uses <x, p> = <x0, p> - integral(u), u = kappa^2, by the quintic Hermite
-    rule with u' = 2 kappa kappa_dot and u'' = (|p|^2 - 3u^2)/2, and
-    <x, p x B> = <x0, p x B> + 2 kappa(s0) - 2 kappa(s); kappa may be signed
-    (planar curvature changes sign at inflections).
+    B = xdot x xddot / kappa(0) of the initial arclength jet j0: at tau = 0
+    the first integral gives T + u p/|p|^2 = -2 kappa_dot e for the constant
+    e = (p x B)/|p|^2, so zeta = -2 kappa_dot e and zeta' = kappa^3 e
+    (kappa_ddot = -kappa^3/2) solve the Hill equation exactly.  kappa may be
+    signed (it changes sign at inflections).
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
     p = cs.p
     pxB = cross(p, cross(j0.xdot, j0.xddot) / kappa[0])
-    q2 = dot(pxB, pxB)
-    if q2 == 0.0:
+    if dot(pxB, pxB) == 0.0:
         raise ValueError("p x B = 0: the motion is a straight line")
-    p2 = dot(p, p)
-
-    u = kappa**2
-    ksq_int = cumulative_hermite(step, u, 2.0 * kappa * kappa_dot, 0.5 * (p2 - 3.0 * u**2))
-    x = (
-        j0.x
-        - np.outer(ksq_int / p2, p)
-        + np.outer((2.0 * kappa[0] - 2.0 * kappa) / q2, pxB)
-    )
-    # T and N in the constant basis (p, p x B):  p = -kappa^2 T - 2 kappa_dot N
-    # and p x B = -2 kappa_dot T + kappa^2 N.
-    T = np.outer(-u / p2, p) + np.outer(-2.0 * kappa_dot / q2, pxB)
-    N = np.outer(-2.0 * kappa_dot / p2, p) + np.outer(u / q2, pxB)
-    xddot = kappa[:, None] * N
-    xdddot = -0.5 * (p + 3.0 * u[:, None] * T)
-
-    data = np.hstack([x, T, xddot, xdddot])
-    return CurveTrace(
-        step, data, t0=j0.t, metadata={"gauge": "arclength", "integrator": "reconstruct_planar"}
-    )
+    e = pxB / dot(p, p)
+    u, du = kappa**2, 2.0 * kappa * kappa_dot
+    zeta, dzeta = np.outer(-2.0 * kappa_dot, e), np.outer(u * kappa, e)
+    return _hill_trace(zeta, dzeta, u, du, p / dot(p, p), p, j0, step, "reconstruct_planar")
 
 
 def reduce_jet(j0, cs):
@@ -174,10 +164,10 @@ def reduce_and_reconstruct(j0, step, count):
     """Full scalar-reduction pipeline from an arclength initial jet.
 
     Reduces the jet (reduce_jet), evaluates the exact curvature with the
-    matching torsion constant, and rebuilds x(s): by the closed form on the
-    planar branch above the curvature floor, else by the Hill equation.  The
-    result is grid-compatible with direct integration of the fourth-order
-    dynamics from the same jet.
+    matching torsion constant, and rebuilds x(s) by the Hill equation: its
+    exact solution on the planar branch above the curvature floor, else its
+    Magnus steps.  The result is grid-compatible with direct integration of
+    the fourth-order dynamics from the same jet.
     """
     cs = conserved_momenta(j0)
     branch, kappa0, kappa_dot0, c = reduce_jet(j0, cs)

@@ -99,9 +99,13 @@ def test_missing_config_exits_2(tmp_path):
 
 
 def test_bad_grid_exits_2(tmp_path):
+    # 1.5e-10 is 1.5 steps of 1e-10: off the grid by 5e-11, far more than
+    # roundoff relative to the length, though under 1e-9 in absolute terms.
     cfg = write_cfg(tmp_path, FRAME_CFG)
-    out = str(tmp_path / "x.csv")
-    assert run(["simulate", "--config", cfg, "--out", out, "--step", "0.3", "--length", "1.0"]) == 2
+    out = tmp_path / "x.csv"
+    for step, length in [("0.3", "1.0"), ("1e-10", "1.5e-10")]:
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--step", step, "--length", length]) == 2
+        assert not out.exists()
 
 
 def test_invariants_flag_non_solution(tmp_path):

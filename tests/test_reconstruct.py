@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from elastica_lab import diagnostics, lagrangian, ode, reconstruct, scalar
-from elastica_lab.geometry import ConservedSet, JetState
+from elastica_lab.geometry import STANDARD_FRAME, ConservedSet, JetState
 from elastica_lab.reconstruct import Branch
 
-from conftest import frame_jet
+from conftest import frame_jet, rotation
 
 
 def test_classify_generic():
@@ -129,6 +129,27 @@ def test_reconstruct_planar_matches_direct(planar_jet, planar_trace):
     rec, branch = reconstruct.reduce_and_reconstruct(planar_jet, 1e-3, 5000)
     assert branch is Branch.PLANAR
     assert diagnostics.position_discrepancy(planar_trace, rec) <= 1e-6
+
+
+# kappa0 = 2e-8 is a near-circle just above the curvature floor, where
+# |p|^2 = kappa0^4: a rule that divides a difference of curvatures by |p|^2
+# loses that difference to roundoff there, and the audit does not see it.
+@pytest.mark.parametrize(
+    "kappa0, kappa_dot0, frame",
+    [
+        (2e-8, 0.0, STANDARD_FRAME),
+        (2e-8, 0.0, rotation(0.3, -1.1, 2.0)),
+        (1e-4, 0.0, STANDARD_FRAME),
+        (1.0, 0.3, STANDARD_FRAME),
+        (0.7, -0.4, rotation(0.3, -1.1, 2.0)),
+    ],
+)
+def test_planar_reconstruction_meets_direct_integration(kappa0, kappa_dot0, frame):
+    jet = frame_jet(kappa0, kappa_dot0, 0.0, frame=frame)
+    rec, branch = reconstruct.reduce_and_reconstruct(jet, 1e-3, 10000)
+    assert branch is Branch.PLANAR
+    assert diagnostics.position_discrepancy(lagrangian.integrate_elastica(jet, 1e-3, 10000), rec) <= 1e-10
+    assert diagnostics.invariant_report(rec)[0]["violations"] == []
 
 
 def test_planar_binormal_constant(planar_jet, planar_trace):
