@@ -13,7 +13,7 @@ or torsion.  Both rebuilders solve it on the grid and read
 xdot = zeta - u p/|p|^2 and xddot = zeta' - u' p/|p|^2 (zeta = T on the
 line, p = 0): reconstruct_curve by an order-6 Magnus rule, for generic
 motion, starts at the curvature floor and the line; reconstruct_planar by
-the exact solution of planar motion (tau = 0) above the floor.
+the exact solution of planar motion (tau = 0) above the floor, read off j0.
 """
 
 import enum
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .frenet import KAPPA_MIN, curvature
-from .geometry import CurveTrace, cross, dot, norm
+from .geometry import CurveTrace, dot, norm
 from .lagrangian import conserved_momenta
 from .ode import cumulative_hermite
 from .scalar import integrate_scalar
@@ -126,23 +126,21 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
 
 
 def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, j0, step):
-    """Planar-branch reconstruction with the constant binormal
-    B = xdot x xddot / kappa(0) of the initial arclength jet j0: at tau = 0
-    the first integral gives T + u p/|p|^2 = -2 kappa_dot e for the constant
-    e = (p x B)/|p|^2, so zeta = -2 kappa_dot e and zeta' = kappa^3 e
-    (kappa_ddot = -kappa^3/2) solve the Hill equation exactly.  kappa may be
-    signed (it changes sign at inflections).
-    """
+    """Planar-branch reconstruction: at tau = 0 the first integral gives
+    T + u p/|p|^2 = -2 kappa_dot e for the constant e = (p x B)/|p|^2.  As
+    p x B = kappa^2 N - 2 kappa_dot T on any arclength jet, e is read with no
+    binormal off the start jet j0 as (kappa xddot - 2 kappa_dot xdot)/|p|^2.
+    zeta = -2 kappa_dot e and zeta' = kappa^3 e (kappa_ddot = -kappa^3/2)
+    solve the Hill equation exactly.  kappa may be signed (it changes sign at
+    inflections)."""
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
     p = cs.p
-    pxB = cross(p, cross(j0.xdot, j0.xddot) / kappa[0])
-    if dot(pxB, pxB) == 0.0:
-        raise ValueError("p x B = 0: the motion is a straight line")
-    e = pxB / dot(p, p)
+    p2 = dot(p, p)
+    e = (kappa[0] * j0.xddot - 2.0 * kappa_dot[0] * j0.xdot) / p2
     u, du = kappa**2, 2.0 * kappa * kappa_dot
     zeta, dzeta = np.outer(-2.0 * kappa_dot, e), np.outer(u * kappa, e)
-    return _hill_trace(zeta, dzeta, u, du, p / dot(p, p), p, j0, step, "reconstruct_planar")
+    return _hill_trace(zeta, dzeta, u, du, p / p2, p, j0, step, "reconstruct_planar")
 
 
 def reduce_jet(j0, cs):

@@ -425,14 +425,15 @@ def test_closed_with_a_tiny_twist_keeps_the_middle_root(tmp_path, tau0):
 def test_reduce_planar_curve_in_rotated_frame(tmp_path, kappa0, kappa_dot0, length):
     # reduce takes the planar branch's c = 0, as reconstruct does, rather
     # than the roundoff c of the momenta: it crosses kappa = 0 and its
-    # torsion is exactly 0.
+    # torsion is exactly 0.  reconstruct and closed run on it too.
     frame = rotation(0.3, -1.1, 2.0).tolist()
     cfg = write_cfg(tmp_path, {"kappa0": kappa0, "kappa_dot0": kappa_dot0, "tau0": 0.0,
                                "x0": [0.0, 0.0, 0.0], "frame": frame})
     grid = ["--step", "1e-3", "--length", str(length)]
     out = tmp_path / "reduce.csv"
     assert run(["reduce", "--config", cfg, "--out", str(out)] + grid) == 0
-    assert run(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec.csv")] + grid) == 0
+    for command in ("reconstruct", "closed"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv")] + grid) == 0
     tau = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3]
     assert np.all(tau == 0.0)
 
@@ -529,6 +530,36 @@ def test_floor_starts(tmp_path, capsys, case, form, command):
             np.testing.assert_allclose(
                 cli.read_trace(str(out)).positions(), jet.x + np.outer(np.arange(201) * 1e-2, jet.xdot), atol=1e-14
             )
+
+
+# Runs of one start, each of which must audit clean and compare with the
+# first within tol (None: compare's default): both flows under each method
+# and projection, rk45 at a step of many substeps, and reconstruct, from the
+# reference jet and from an inflection point.
+AGREEING_RUNS = {
+    "rk4 simulate, projected rk45 hamiltonian, reconstruct": (
+        FRAME_CFG, "1e-2", "2", None,
+        [["simulate"], ["hamiltonian", "--method", "rk45", "--project", "on"], ["reconstruct"]],
+    ),
+    "rk45 simulate, rk4 hamiltonian": (FRAME_CFG, "1e-2", "2", None, [["simulate", "--method", "rk45"], ["hamiltonian"]]),
+    "rk45 at step 0.5": (
+        FRAME_CFG, "0.5", "5", None,
+        [["simulate", "--method", "rk45"], ["hamiltonian", "--method", "rk45", "--project", "on"]],
+    ),
+    "inflection": (FLOOR_STARTS["inflection"], "1e-3", "10", "1e-9", [["simulate"], ["hamiltonian"], ["reconstruct"]]),
+}
+
+
+@pytest.mark.parametrize("case", AGREEING_RUNS)
+def test_runs_of_one_start_agree(tmp_path, case):
+    cfg, step, length, tol, runs = AGREEING_RUNS[case]
+    config = write_cfg(tmp_path, cfg)
+    outs = [str(tmp_path / f"{i}.csv") for i in range(len(runs))]
+    for out, (command, *flags) in zip(outs, runs):
+        assert run([command, "--config", config, "--out", out, "--step", step, "--length", length] + flags) == 0
+        assert run(["invariants", "--trace", out, "--report", str(tmp_path / "report.json")]) == 0
+    for out in outs[1:]:
+        assert run(["compare", outs[0], out] + ([] if tol is None else ["--tol", tol])) == 0
 
 
 @pytest.mark.parametrize("tau0", [3e4, 1e4])

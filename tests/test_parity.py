@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from elastica_lab import diagnostics, frenet, hamiltonian, lagrangian
 from elastica_lab.geometry import CurveTrace, FrenetFrame
 
+from conftest import rotation
+
 RTOL = 1e-14
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -23,16 +25,8 @@ jet_data = st.tuples(
 )
 
 
-def _rotation(a, b, c):
-    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
-    rz = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    rx = np.array([[1, 0, 0], [0, cc, -sc], [0, sc, cc]])
-    return rz @ ry @ rx
-
-
 def _jet(kappa, kappa_dot, tau, angles, x0):
-    T, N, B = _rotation(*angles).T
+    T, N, B = rotation(*angles)
     f = FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau)
     return frenet.jet_from_frame(np.array(x0), f, kappa_dot)
 

@@ -165,13 +165,6 @@ def test_planar_binormal_constant(planar_jet, planar_trace):
     assert np.max(np.linalg.norm(B - B0, axis=1)) <= 1e-8
 
 
-def test_reconstruct_planar_degenerate():
-    cs = ConservedSet(p=[0, 0, 1], l=[0, 0, 0], H=0.0, c=0.0)
-    j0 = JetState(0.0, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="p x B = 0"):
-        reconstruct.reconstruct_planar(np.ones(5), np.zeros(5), cs, j0, 0.1)
-
-
 def test_reconstruct_line(line_jet):
     rec, branch = reconstruct.reduce_and_reconstruct(line_jet, 0.1, 10)
     assert branch is Branch.DEGENERATE_LINE
