@@ -9,11 +9,13 @@ zeta = T + u p/|p|^2 then solves the linear Hill equation
     zeta'' = -(3/2) u zeta,
 
 whose coefficient divides by nothing, so it holds through any small kappa
-or torsion.  Both rebuilders solve it on the grid and read
-xdot = zeta - u p/|p|^2 and xddot = zeta' - u' p/|p|^2 (zeta = T on the
-line, p = 0): reconstruct_curve by an order-6 Magnus rule, for generic
-motion, starts at the curvature floor and the line; reconstruct_planar by
-the exact solution of planar motion (tau = 0) above the floor, read off j0.
+or torsion.  reconstruct_curve solves it on the grid by an order-6 Magnus
+rule and reads xdot = zeta - u p/|p|^2 and xddot = zeta' - u' p/|p|^2
+(zeta = T on the line, p = 0).  Where the reduction sets c = 0 and p != 0
+it writes zeta = zeta_P + r, with zeta_P the exact planar solution that
+reconstruct_planar reads off j0, and steps only the remainder r: at c = 0
+the Hill equation is at parametric resonance, where a step error in zeta_P
+would grow secularly.
 """
 
 import enum
@@ -90,24 +92,25 @@ def _cumulative_product(steps):
     return out
 
 
-def _hill_trace(zeta, dzeta, u, du, q, p, j0, step, integrator):
-    """The jet CurveTrace of a Hill solution (zeta, zeta'), overwritten with
-    xdot = zeta - u q and xddot = zeta' - u' q (q = p/|p|^2), with
-    xdddot = -(p + 3u xdot)/2 and positions by quintic Hermite quadrature.
-    """
-    zeta -= np.outer(u, q)
-    dzeta -= np.outer(du, q)
-    xdddot = -0.5 * (p + 3.0 * u[:, None] * zeta)
-    x = j0.x + cumulative_hermite(step, zeta, dzeta, xdddot)
-    meta = {"gauge": "arclength", "integrator": integrator}
-    return CurveTrace(step, np.hstack([x, zeta, dzeta, xdddot]), t0=j0.t, metadata=meta)
+def reconstruct_planar(kappa, kappa_dot, p2, j0):
+    """The exact planar solution (zeta_P, zeta_P') of the Hill equation on
+    the samples: at tau = 0 the first integral gives zeta = -2 kappa_dot e
+    for the constant e = (p x B)/|p|^2.  As p x B = kappa^2 N - 2 kappa_dot T
+    on any arclength jet, e is read with no binormal off the start jet j0 as
+    (kappa xddot - 2 kappa_dot xdot)/|p|^2, and zeta' = kappa^3 e
+    (kappa_ddot = -kappa^3/2).  kappa may be signed (it changes sign at
+    inflections)."""
+    e = (kappa[0] * j0.xddot - 2.0 * kappa_dot[0] * j0.xdot) / p2
+    return np.outer(-2.0 * kappa_dot, e), np.outer(kappa**2 * kappa, e)
 
 
-def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
-    """Reconstruction of generic jets, of every start at the curvature floor
-    and of the line (p = 0) from kappa(s), the conserved set and the initial
-    arclength jet j0: the Magnus steps of the Hill equation from j0's zeta
-    and zeta'.  Returns a jet CurveTrace.
+def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, c, j0, step):
+    """The jet CurveTrace rebuilt from kappa(s), the conserved set cs, the
+    reduced torsion constant c and the initial arclength jet j0 by the
+    Magnus steps of the Hill equation from j0's (zeta, zeta').  Where c = 0
+    and p != 0 they step only the remainder off the exact planar solution:
+    rounding on a planar start, the dropped twist below the curvature floor.
+    xdddot = -(p + 3u xdot)/2, and positions are by quintic Hermite quadrature.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
@@ -117,30 +120,23 @@ def reconstruct_curve(kappa_samples, kappa_dot_samples, cs, j0, step):
     u, du = kappa**2, 2.0 * kappa * kappa_dot
     # The curvature equation in u at lambda = 0: finite as kappa -> 0.
     ddu = 0.5 * (p2 - 3.0 * u**2)
-
-    (a, b), (c, d) = _cumulative_product(_magnus_steps(u, du, ddu, step))
-    zeta0, dzeta0 = j0.xdot + u[0] * q, j0.xddot + du[0] * q
-    zeta = np.outer(a, zeta0) + np.outer(b, dzeta0)
-    dzeta = np.outer(c, zeta0) + np.outer(d, dzeta0)
-    return _hill_trace(zeta, dzeta, u, du, q, p, j0, step, "reconstruct")
-
-
-def reconstruct_planar(kappa_samples, kappa_dot_samples, cs, j0, step):
-    """Planar-branch reconstruction: at tau = 0 the first integral gives
-    T + u p/|p|^2 = -2 kappa_dot e for the constant e = (p x B)/|p|^2.  As
-    p x B = kappa^2 N - 2 kappa_dot T on any arclength jet, e is read with no
-    binormal off the start jet j0 as (kappa xddot - 2 kappa_dot xdot)/|p|^2.
-    zeta = -2 kappa_dot e and zeta' = kappa^3 e (kappa_ddot = -kappa^3/2)
-    solve the Hill equation exactly.  kappa may be signed (it changes sign at
-    inflections)."""
-    kappa = np.asarray(kappa_samples, dtype=float)
-    kappa_dot = np.asarray(kappa_dot_samples, dtype=float)
-    p = cs.p
-    p2 = dot(p, p)
-    e = (kappa[0] * j0.xddot - 2.0 * kappa_dot[0] * j0.xdot) / p2
-    u, du = kappa**2, 2.0 * kappa * kappa_dot
-    zeta, dzeta = np.outer(-2.0 * kappa_dot, e), np.outer(u * kappa, e)
-    return _hill_trace(zeta, dzeta, u, du, p / p2, p, j0, step, "reconstruct_planar")
+    r0, dr0 = j0.xdot + u[0] * q, j0.xddot + du[0] * q
+    planar = c == 0.0 and p2 > 0.0
+    if planar:
+        zeta_p, dzeta_p = reconstruct_planar(kappa, kappa_dot, p2, j0)
+        r0, dr0 = r0 - zeta_p[0], dr0 - dzeta_p[0]
+    (m00, m01), (m10, m11) = _cumulative_product(_magnus_steps(u, du, ddu, step))
+    zeta = np.outer(m00, r0) + np.outer(m01, dr0)
+    dzeta = np.outer(m10, r0) + np.outer(m11, dr0)
+    if planar:
+        zeta += zeta_p
+        dzeta += dzeta_p
+    zeta -= np.outer(u, q)
+    dzeta -= np.outer(du, q)
+    xdddot = -0.5 * (p + 3.0 * u[:, None] * zeta)
+    x = j0.x + cumulative_hermite(step, zeta, dzeta, xdddot)
+    meta = {"gauge": "arclength", "integrator": "reconstruct"}
+    return CurveTrace(step, np.hstack([x, zeta, dzeta, xdddot]), t0=j0.t, metadata=meta)
 
 
 def reduce_jet(j0, cs):
@@ -162,14 +158,11 @@ def reduce_and_reconstruct(j0, step, count):
     """Full scalar-reduction pipeline from an arclength initial jet.
 
     Reduces the jet (reduce_jet), evaluates the exact curvature with the
-    matching torsion constant, and rebuilds x(s) by the Hill equation: its
-    exact solution on the planar branch above the curvature floor, else its
-    Magnus steps.  The result is grid-compatible with direct integration of
+    matching torsion constant, and rebuilds x(s) by reconstruct_curve on
+    every branch.  The result is grid-compatible with direct integration of
     the fourth-order dynamics from the same jet.
     """
     cs = conserved_momenta(j0)
     branch, kappa0, kappa_dot0, c = reduce_jet(j0, cs)
     _, kappa, kappa_dot = integrate_scalar(kappa0, kappa_dot0, c, step, count)
-    if branch is Branch.PLANAR and kappa0 > KAPPA_MIN:
-        return reconstruct_planar(kappa, kappa_dot, cs, j0, step), branch
-    return reconstruct_curve(kappa, kappa_dot, cs, j0, step), branch
+    return reconstruct_curve(kappa, kappa_dot, cs, c, j0, step), branch

@@ -532,6 +532,27 @@ def test_floor_starts(tmp_path, capsys, case, form, command):
             )
 
 
+# Starts at the curvature floor, which the reduction gives c = 0, over a long
+# arc at coarse steps: there the Hill equation is at parametric resonance,
+# and Magnus steps of all of zeta left l_drift 1e-5 at step 0.1.
+COARSE_FLOOR_STARTS = {
+    "inflection": FLOOR_STARTS["inflection"],
+    "sub-floor, falling": FLOOR_STARTS["sub-floor, falling"],
+    "sub-floor, tau0 = 0.2": {"kappa0": 5e-9, "kappa_dot0": 0.3, "tau0": 0.2},
+    "sub-floor, tau0 = 1": {"kappa0": 1e-9, "kappa_dot0": 0.3, "tau0": 1.0},
+}
+
+
+@pytest.mark.parametrize("step", ["0.1", "0.05"])
+@pytest.mark.parametrize("case", COARSE_FLOOR_STARTS)
+def test_floor_starts_audit_clean_over_a_long_coarse_arc(tmp_path, case, step):
+    out, report = str(tmp_path / "trace.csv"), tmp_path / "report.json"
+    cfg = write_cfg(tmp_path, COARSE_FLOOR_STARTS[case])
+    assert run(["reconstruct", "--config", cfg, "--out", out, "--step", step, "--length", "200"]) == 0
+    assert run(["invariants", "--trace", out, "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["violations"] == []
+
+
 # Runs of one start, each of which must audit clean and compare with the
 # first within tol (None: compare's default): both flows under each method
 # and projection, rk45 at a step of many substeps, and reconstruct, from the

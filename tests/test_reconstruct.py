@@ -33,7 +33,7 @@ def test_classify_takes_a_floor_jet_with_momentum_as_planar():
     assert reconstruct.reduce_jet(jet, cs) == (Branch.PLANAR, 0.0, 0.3, 0.0)
 
 
-def test_frame_de_length_identity():
+def test_xdot_cross_p_length_on_solution_jets():
     # |xdot cross p| = sqrt(|p|^2 - kappa^4) on solution jets.
     rng = np.random.default_rng(37)
     for _ in range(20):
@@ -120,7 +120,7 @@ def test_reconstructed_velocity_momentum_component(standard_jet):
 def test_reconstruct_zero_length():
     cs = ConservedSet(p=[-1, -0.6, -0.4], l=[0, 0, 2], H=0.0, c=0.2)
     j0 = JetState(0.0, [1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
-    rec = reconstruct.reconstruct_curve(np.array([1.0]), np.array([0.3]), cs, j0, 1e-3)
+    rec = reconstruct.reconstruct_curve(np.array([1.0]), np.array([0.3]), cs, cs.c, j0, 1e-3)
     assert len(rec) == 1
     np.testing.assert_array_equal(rec.samples[0].x, [1.0, 2.0, 3.0])
 
@@ -150,6 +150,46 @@ def test_planar_reconstruction_meets_direct_integration(kappa0, kappa_dot0, fram
     assert branch is Branch.PLANAR
     assert diagnostics.position_discrepancy(lagrangian.integrate_elastica(jet, 1e-3, 10000), rec) <= 1e-10
     assert diagnostics.invariant_report(rec)[0]["violations"] == []
+
+
+def _remainder(jet):
+    """r0, r0' of the split zeta = zeta_P + r at the start jet, and
+    |zeta0| + |zeta0'|."""
+    cs = lagrangian.conserved_momenta(jet)
+    _, kappa0, kappa_dot0, _ = reconstruct.reduce_jet(jet, cs)
+    p2 = np.dot(cs.p, cs.p)
+    zeta0, dzeta0 = jet.xdot + kappa0**2 * cs.p / p2, jet.xddot + 2.0 * kappa0 * kappa_dot0 * cs.p / p2
+    zeta_p, dzeta_p = reconstruct.reconstruct_planar(np.array([kappa0]), np.array([kappa_dot0]), p2, jet)
+    return zeta0 - zeta_p[0], dzeta0 - dzeta_p[0], np.linalg.norm(zeta0) + np.linalg.norm(dzeta0)
+
+
+@pytest.mark.parametrize("frame", [STANDARD_FRAME, rotation(0.3, -1.1, 2.0)], ids=["standard", "rotated"])
+@pytest.mark.parametrize("kappa0", [2e-8, 1.0])
+def test_planar_remainder_is_rounding(kappa0, frame):
+    r0, dr0, scale = _remainder(frame_jet(kappa0, 0.3, 0.0, frame=frame))
+    assert np.linalg.norm(r0) + np.linalg.norm(dr0) <= 1e-15 * scale
+
+
+def test_planar_reconstruction_is_the_exact_solution_at_a_coarse_step(planar_jet):
+    # At c = 0 the Hill equation is at parametric resonance, where Magnus
+    # steps of all of zeta leave a secular error (1.2e-6 off at h = 0.1,
+    # s = 200); the steps of the remainder keep xdot = zeta_P - kappa^2 p/|p|^2,
+    # zeta_P = -2 kappa_dot e with e = (kappa0 xddot0 - 2 kappa_dot0 xdot0)/|p|^2.
+    rec, _ = reconstruct.reduce_and_reconstruct(planar_jet, 0.1, 2000)
+    cs = lagrangian.conserved_momenta(planar_jet)
+    p2 = np.dot(cs.p, cs.p)
+    _, kappa, kappa_dot = scalar.integrate_scalar(1.0, 0.3, 0.0, 0.1, 2000)
+    e = (planar_jet.xddot - 0.6 * planar_jet.xdot) / p2
+    closed = np.outer(-2.0 * kappa_dot, e) - np.outer(kappa**2, cs.p / p2)
+    np.testing.assert_allclose(rec.stacked("xdot"), closed, rtol=0, atol=1e-12)
+
+
+def test_sub_floor_remainder_carries_the_dropped_twist():
+    # Below the floor the reduction reads tau = 0 and kappa_dot0 = kappa0 tau0,
+    # the twist normal to xddot, so the planar solution turns in the wrong
+    # plane; the remainder, Magnus-stepped, holds the jet's own zeta.
+    r0, _, _ = _remainder(frame_jet(5e-9, 0.0, 0.2))
+    assert 1.7e-8 <= np.linalg.norm(r0) <= 1.9e-8
 
 
 def test_planar_binormal_constant(planar_jet, planar_trace):
